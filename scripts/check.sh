@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot tier-1 verify: configure, build, and run ctest in Debug and
 # Release with warnings-as-errors, benches, and examples all enabled, then
-# smoke-run the dense-vs-sparse thermal bench and the seed-vs-flat LDPC and
-# NoC benches so the bench targets cannot silently rot. Each BENCH_*.json
+# smoke-run the sparse-vs-LU-oracle thermal bench and the seed-vs-flat
+# LDPC and NoC benches so the bench targets cannot silently rot. Each BENCH_*.json
 # regression guard exits nonzero when its fast path diverges from the
 # golden reference (bit-exactness, steady-state allocations, thread
 # determinism), and `set -e` turns any such exit into a check failure.

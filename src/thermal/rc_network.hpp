@@ -65,7 +65,8 @@ class RcNetwork {
   const SparseMatrix& conductance_sparse() const { return g_; }
 
   /// Dense view of the conductance matrix, built on first use and cached
-  /// (not thread-safe, like the rest of the library).
+  /// (not thread-safe, like the rest of the library). No solver uses it;
+  /// tests build their dense LU oracle from it.
   const Matrix& conductance() const;
   const std::vector<double>& capacitance() const { return cap_; }
   const std::string& node_name(int i) const;

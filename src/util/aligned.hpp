@@ -1,9 +1,9 @@
 // Lane-width-aligned storage for the SIMD SoA workspaces.
 //
 // The vector kernels in util/simd read whole lane groups at a time, so the
-// arrays they touch (decoder message SoA, multi-RHS blocks, the NoC
-// head-flit mirrors) must extend past their logical size to a full lane
-// boundary, with the tail defined (zero) so remainder lanes need no branch.
+// arrays they touch (decoder message SoA, the NoC head-flit mirrors) must
+// extend past their logical size to a full lane boundary, with the tail
+// defined (zero) so remainder lanes need no branch.
 // AlignedVec provides exactly that: data() is 64-byte aligned (one cache
 // line, the widest lane group any tier uses) and elements
 // [size(), padded_size()) are always zero-filled.

@@ -62,8 +62,9 @@ class Matrix {
 
 /// LU factorization with partial pivoting of a square matrix.
 ///
-/// Factor once, solve many times — the transient thermal solver reuses one
-/// factorization of (C/dt + G) for every backward-Euler step.
+/// Factor once, solve many times. Not a production thermal path: the
+/// thermal solvers factor with util/sparse's LDL^T, and tests factor
+/// RcNetwork::conductance() (plus C/dt) with this as their oracle.
 class LuFactorization {
  public:
   /// Factors `a`. Throws renoc::CheckError if `a` is not square or is
@@ -84,9 +85,7 @@ class LuFactorization {
   /// holds the solutions on exit. One traversal of the factor serves all
   /// columns; each column performs exactly the arithmetic of
   /// solve_in_place in the same order, so column j is bit-identical to a
-  /// lone solve of that column (the property AdaptivePolicy's batched
-  /// lookahead relies on for sub-64-node networks, where the thermal
-  /// solvers keep the dense backend).
+  /// lone solve of that column.
   void solve_multi(std::vector<double>& x, int nrhs) const;
 
   std::size_t n() const { return n_; }

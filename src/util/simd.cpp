@@ -1,37 +1,15 @@
 #include "util/simd.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace renoc::simd {
 
 const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
   }
   return "unknown";
-}
-
-bool parse_tier(const char* name, Tier& out) {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "scalar") == 0) {
-    out = Tier::kScalar;
-    return true;
-  }
-  if (std::strcmp(name, "sse2") == 0) {
-    out = Tier::kSse2;
-    return true;
-  }
-  if (std::strcmp(name, "avx2") == 0) {
-    out = Tier::kAvx2;
-    return true;
-  }
-  return false;
 }
 
 namespace detail {
@@ -41,8 +19,6 @@ bool cpu_supports(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return true;
-    case Tier::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
     case Tier::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
   }
@@ -59,42 +35,17 @@ const KernelTable* kernel_table(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return detail::scalar_table();
-    case Tier::kSse2:
-      return detail::sse2_table();
     case Tier::kAvx2:
       return detail::avx2_table();
   }
   return nullptr;
 }
 
-namespace {
-
-const KernelTable* resolve_active() {
-  Tier best = Tier::kScalar;
-  if (kernel_table(Tier::kSse2) != nullptr) best = Tier::kSse2;
-  if (kernel_table(Tier::kAvx2) != nullptr) best = Tier::kAvx2;
-  // The env override only clamps downward: asking for a tier the binary or
-  // CPU cannot run falls back to the best available, and unparsable values
-  // are ignored, so a stale RENOC_SIMD_TIER can never break a run.
-  if (const char* env = std::getenv("RENOC_SIMD_TIER")) {
-    Tier requested = Tier::kScalar;
-    if (parse_tier(env, requested) &&
-        static_cast<int>(requested) < static_cast<int>(best)) {
-      best = requested;
-    }
-  }
-  for (int t = static_cast<int>(best); t > 0; --t) {
-    if (const KernelTable* table = kernel_table(static_cast<Tier>(t))) {
-      return table;
-    }
-  }
-  return detail::scalar_table();
-}
-
-}  // namespace
-
 const KernelTable& kernels() {
-  static const KernelTable* const table = resolve_active();
+  static const KernelTable* const table = [] {
+    const KernelTable* avx2 = kernel_table(Tier::kAvx2);
+    return avx2 != nullptr ? avx2 : detail::scalar_table();
+  }();
   return *table;
 }
 

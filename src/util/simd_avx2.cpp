@@ -1,8 +1,7 @@
 // AVX2-tier kernel table. CMake compiles this one TU with -mavx2 (when
 // the compiler supports the flag and RENOC_SIMD is ON); no other TU may
 // carry wide-vector flags, so AVX2 code cannot leak into paths executed
-// before the runtime CPUID check in util/simd.cpp. Deliberately no -mfma:
-// contraction would break the cross-tier bit-exactness contract.
+// before the runtime CPUID check in util/simd.cpp.
 #include "util/simd.hpp"
 
 #if defined(__AVX2__) && !defined(RENOC_SIMD_DISABLED)
@@ -12,8 +11,7 @@
 namespace renoc::simd::detail {
 
 const KernelTable* avx2_table() {
-  static const KernelTable table =
-      make_table<lanes::Avx2I32, lanes::Avx2F64>(Tier::kAvx2);
+  static const KernelTable table = make_table<lanes::Avx2I32>(Tier::kAvx2);
   return &table;
 }
 

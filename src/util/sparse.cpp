@@ -410,11 +410,6 @@ void SparseLdlt::solve_in_place(std::vector<double>& x) const {
 }
 
 void SparseLdlt::solve_multi(std::vector<double>& x, int nrhs) const {
-  solve_multi_with(simd::kernels(), x, nrhs);
-}
-
-void SparseLdlt::solve_multi_with(const simd::KernelTable& kernels,
-                                  std::vector<double>& x, int nrhs) const {
   RENOC_CHECK_MSG(nrhs >= 1, "need at least one right-hand side");
   RENOC_CHECK_MSG(
       x.size() == uz(n_) * static_cast<std::size_t>(nrhs),
@@ -422,32 +417,72 @@ void SparseLdlt::solve_multi_with(const simd::KernelTable& kernels,
   const std::size_t w = static_cast<std::size_t>(nrhs);
   scratch_multi_.resize(uz(n_) * w);
   double* y = scratch_multi_.data();
+  // renoc-hot-begin (multi-RHS sweeps: every batched lookahead step)
   // Permute in: whole rows move, so each gather copies nrhs contiguous
-  // values. The triangular/diagonal sweeps run through the SIMD kernel
-  // table with RHS columns blocked into lanes; every tier replicates
-  // solve_in_place's per-column arithmetic in the same order (see
-  // util/sparse_kernels.hpp), keeping columns bit-identical to lone
-  // solves across tiers.
+  // values. Each sweep then walks the factor once and applies an entry to
+  // all w columns, so every column performs solve_in_place's arithmetic
+  // in the same order and stays bit-identical to a lone solve.
   for (int k = 0; k < n_; ++k)
     std::copy_n(&x[uz(perm_[uz(k)]) * w], w, y + uz(k) * w);
-  kernels.ldlt_solve_multi(lp_.data(), li_.data(), lx_.data(), d_.data(), y,
-                           n_, nrhs);
+  // Forward: y <- L^-1 y, row k scattered into its strictly-lower rows.
+  for (int k = 0; k < n_; ++k) {
+    const double* yk = y + uz(k) * w;
+    for (int p = lp_[uz(k)]; p < lp_[uz(k) + 1]; ++p) {
+      const double l = lx_[uz(p)];
+      double* yi = y + uz(li_[uz(p)]) * w;
+      for (std::size_t j = 0; j < w; ++j) yi[j] -= l * yk[j];
+    }
+  }
+  // Diagonal: y <- D^-1 y.
+  for (int k = 0; k < n_; ++k) {
+    const double dk = d_[uz(k)];
+    double* yk = y + uz(k) * w;
+    for (std::size_t j = 0; j < w; ++j) yk[j] /= dk;
+  }
+  // Backward: y <- L^-T y.
+  for (int k = n_ - 1; k >= 0; --k) {
+    double* yk = y + uz(k) * w;
+    for (int p = lp_[uz(k)]; p < lp_[uz(k) + 1]; ++p) {
+      const double l = lx_[uz(p)];
+      const double* yi = y + uz(li_[uz(p)]) * w;
+      for (std::size_t j = 0; j < w; ++j) yk[j] -= l * yi[j];
+    }
+  }
   for (int k = 0; k < n_; ++k)
     std::copy_n(y + uz(k) * w, w, &x[uz(perm_[uz(k)]) * w]);
+  // renoc-hot-end
 }
 
 void SparseLdlt::solve_permuted_in_place(double* y) const {
-  solve_permuted_in_place_with(simd::kernels(), y);
-}
-
-void SparseLdlt::solve_permuted_in_place_with(const simd::KernelTable& kernels,
-                                              double* y) const {
-  // Forward sweep, then a backward sweep with D^{-1} fused and four
-  // accumulators: the plain per-column dot is a serial chain whose
+  const int* lp = lp_.data();
+  const int* li = li_.data();
+  const double* lx = lx_.data();
+  const double* inv_d = inv_d_.data();
+  // renoc-hot-begin (permuted solve: every co-sim engine time step)
+  // Forward: y <- L^-1 y.
+  for (int k = 0; k < n_; ++k) {
+    const double yk = y[k];
+    for (int p = lp[k]; p < lp[k + 1]; ++p) y[li[p]] -= lx[p] * yk;
+  }
+  // Backward sweep with D^{-1} fused (as a precomputed reciprocal) and
+  // four accumulators: the plain per-column dot is a serial chain whose
   // latency, not throughput, bounds the sweep; splitting it breaks the
-  // chain. Lives in util/sparse_kernels.hpp (per-tier bit-identical).
-  kernels.ldlt_permuted_solve(lp_.data(), li_.data(), lx_.data(),
-                              inv_d_.data(), y, n_);
+  // chain. Remainder entries fold into a0, and the reduction order
+  // (a0 + a1) + (a2 + a3) is part of the result's bit pattern.
+  for (int k = n_ - 1; k >= 0; --k) {
+    const int p1 = lp[k + 1];
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    int p = lp[k];
+    for (; p + 3 < p1; p += 4) {
+      a0 += lx[p] * y[li[p]];
+      a1 += lx[p + 1] * y[li[p + 1]];
+      a2 += lx[p + 2] * y[li[p + 2]];
+      a3 += lx[p + 3] * y[li[p + 3]];
+    }
+    for (; p < p1; ++p) a0 += lx[p] * y[li[p]];
+    y[k] = y[k] * inv_d[k] - ((a0 + a1) + (a2 + a3));
+  }
+  // renoc-hot-end
 }
 
 }  // namespace renoc

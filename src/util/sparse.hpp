@@ -19,9 +19,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "util/aligned.hpp"
 #include "util/matrix.hpp"
-#include "util/simd.hpp"
 
 namespace renoc {
 
@@ -63,7 +61,7 @@ class SparseMatrix {
   /// step matrix assembled by stamping).
   SparseMatrix plus_diagonal(const std::vector<double>& d) const;
 
-  /// Densifies (tests and the dense cross-check path).
+  /// Densifies (tests build the dense LU oracle from it).
   Matrix to_dense() const;
 
   /// True if the sparsity pattern and values are symmetric to within tol.
@@ -132,12 +130,6 @@ class SparseLdlt {
   /// property AdaptivePolicy's batched lookahead relies on).
   void solve_multi(std::vector<double>& x, int nrhs) const;
 
-  /// solve_multi through an explicit SIMD kernel table instead of the
-  /// active one — the test/bench hook that lets one binary exercise every
-  /// compiled tier (see util/simd). Tiers are bit-identical by contract.
-  void solve_multi_with(const simd::KernelTable& kernels,
-                        std::vector<double>& x, int nrhs) const;
-
   /// Streamed solve in permuted coordinates for hot loops that keep their
   /// state in elimination order (see the co-sim engine in
   /// core/thermal_runtime): y[k] holds component permutation()[k] of the
@@ -147,11 +139,6 @@ class SparseLdlt {
   /// in the last bits (~1e-15 relative; the engine's reference-agreement
   /// test pins the accumulated effect).
   void solve_permuted_in_place(double* y) const;
-
-  /// solve_permuted_in_place through an explicit SIMD kernel table (same
-  /// test/bench hook as solve_multi_with).
-  void solve_permuted_in_place_with(const simd::KernelTable& kernels,
-                                    double* y) const;
 
   /// The fill-reducing permutation in use: permutation()[k] = original
   /// index eliminated at step k.
@@ -171,8 +158,7 @@ class SparseLdlt {
   std::vector<int> perm_;    // perm_[k] = original index at position k
   std::vector<int> iperm_;   // inverse permutation
   mutable std::vector<double> scratch_;      // permuted rhs workspace
-  mutable AlignedVec<double> scratch_multi_;  // multi-RHS workspace (SoA,
-                                              // lane-aligned for util/simd)
+  mutable std::vector<double> scratch_multi_;  // multi-RHS workspace
 };
 
 }  // namespace renoc

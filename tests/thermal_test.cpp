@@ -16,6 +16,7 @@
 #include "thermal/rc_network.hpp"
 #include "thermal/solver.hpp"
 #include "util/check.hpp"
+#include "util/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace renoc {
@@ -256,8 +257,7 @@ TEST(TransientTest, RunReturnsMaxPeak) {
 }
 
 TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
-  // Both backends: side 4 resolves to the dense LU (58 nodes), side 5 to
-  // the sparse LDL^T (85 nodes).
+  // Two network sizes: side 4 (58 nodes) and side 5 (85 nodes).
   for (const int side : {4, 5}) {
     const RcNetwork net = make_net(side);
     const SteadyStateSolver solver(net);
@@ -282,7 +282,7 @@ TEST(SolverIntoTest, SolveDiePowerIntoBitMatchesSolveDiePower) {
 }
 
 TEST(TransientTest, StepMultiBitMatchesScalarSteps) {
-  // Both backends again; three trajectories under three different power
+  // Both sizes again; three trajectories under three different power
   // maps, advanced several steps, must match three lone solvers exactly.
   for (const int side : {4, 5}) {
     const RcNetwork net = make_net(side);
@@ -468,69 +468,63 @@ TEST(GridRefineTest, PeakTileTemperatureReusesCachedSolver) {
 
 // --- Dense-vs-sparse agreement suite -----------------------------------
 //
-// The same network solved by both backends must agree to 1e-8 on steady
-// rises and across a transient run; the dense LU is the oracle for the
-// sparse LDL^T that kAuto selects at production sizes.
+// The production solvers factor with the sparse LDL^T at every size; a
+// dense LU the test builds from RcNetwork::conductance() (plus C/dt for
+// the transient) is the oracle they must match to 1e-8. The 4x4 grid
+// (58 nodes) is the smallest network the benches build, the 6x6 grid
+// (118 nodes) a larger one.
 
-TEST(DenseSparseAgreementTest, BackendSelection) {
-  const RcNetwork small = make_net(4);   // 58 nodes < cutoff
-  const RcNetwork large = make_net(6);   // 118 nodes > cutoff
-  EXPECT_FALSE(SteadyStateSolver(small).uses_sparse());
-  EXPECT_TRUE(SteadyStateSolver(large).uses_sparse());
-  EXPECT_TRUE(SteadyStateSolver(small, SolverBackend::kSparse).uses_sparse());
-  EXPECT_FALSE(SteadyStateSolver(large, SolverBackend::kDense).uses_sparse());
-  EXPECT_FALSE(TransientSolver(small, 1e-4).uses_sparse());
-  EXPECT_TRUE(TransientSolver(large, 1e-4).uses_sparse());
-}
-
-TEST(DenseSparseAgreementTest, EnvVarForcesDensePath) {
-  const RcNetwork large = make_net(6);
-  ::setenv("RENOC_DENSE_SOLVE", "1", 1);
-  EXPECT_FALSE(SteadyStateSolver(large).uses_sparse());
-  EXPECT_FALSE(TransientSolver(large, 1e-4).uses_sparse());
-  ::setenv("RENOC_DENSE_SOLVE", "0", 1);  // "0" and empty mean unset
-  EXPECT_TRUE(SteadyStateSolver(large).uses_sparse());
-  ::unsetenv("RENOC_DENSE_SOLVE");
-  EXPECT_TRUE(SteadyStateSolver(large).uses_sparse());
-  // An explicit backend always wins over the environment.
-  ::setenv("RENOC_DENSE_SOLVE", "1", 1);
-  EXPECT_TRUE(SteadyStateSolver(large, SolverBackend::kSparse).uses_sparse());
-  ::unsetenv("RENOC_DENSE_SOLVE");
-}
+constexpr int kAgreementSides[] = {4, 6};
 
 TEST(DenseSparseAgreementTest, SteadyStateMatchesOnRandomPowers) {
-  const RcNetwork net = make_net(6);
-  const SteadyStateSolver dense(net, SolverBackend::kDense);
-  const SteadyStateSolver sparse(net, SolverBackend::kSparse);
-  Rng rng(42);
-  for (int trial = 0; trial < 5; ++trial) {
-    std::vector<double> power(36);
-    for (auto& p : power) p = rng.next_double() * 8.0;
-    const std::vector<double> rd = dense.solve_die_power(power);
-    const std::vector<double> rs = sparse.solve_die_power(power);
-    ASSERT_EQ(rd.size(), rs.size());
-    for (std::size_t i = 0; i < rd.size(); ++i)
-      EXPECT_NEAR(rd[i], rs[i], 1e-8) << "node " << i << " trial " << trial;
-    EXPECT_NEAR(dense.peak_die_temperature(power),
-                sparse.peak_die_temperature(power), 1e-8);
+  for (const int side : kAgreementSides) {
+    SCOPED_TRACE("side " + std::to_string(side));
+    const RcNetwork net = make_net(side);
+    const LuFactorization oracle(net.conductance());
+    const SteadyStateSolver sparse(net);
+    Rng rng(42);
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<double> power(static_cast<std::size_t>(net.die_count()));
+      for (auto& p : power) p = rng.next_double() * 8.0;
+      const std::vector<double> rd =
+          oracle.solve(net.expand_die_power(power));
+      const std::vector<double> rs = sparse.solve_die_power(power);
+      ASSERT_EQ(rd.size(), rs.size());
+      for (std::size_t i = 0; i < rd.size(); ++i)
+        EXPECT_NEAR(rd[i], rs[i], 1e-8) << "node " << i << " trial " << trial;
+      EXPECT_NEAR(net.ambient() + net.peak_die_rise(rd),
+                  sparse.peak_die_temperature(power), 1e-8);
+    }
   }
 }
 
 TEST(DenseSparseAgreementTest, TransientMatchesOverManySteps) {
-  const RcNetwork net = make_net(6);
-  TransientSolver dense(net, 5e-6, SolverBackend::kDense);
-  TransientSolver sparse(net, 5e-6, SolverBackend::kSparse);
-  Rng rng(7);
-  std::vector<double> power(36);
-  for (auto& p : power) p = rng.next_double() * 6.0;
-  for (int step = 0; step < 200; ++step) {
-    dense.step_die_power(power);
-    sparse.step_die_power(power);
+  constexpr double kDt = 5e-6;
+  for (const int side : kAgreementSides) {
+    SCOPED_TRACE("side " + std::to_string(side));
+    const RcNetwork net = make_net(side);
+    const std::size_t n = static_cast<std::size_t>(net.node_count());
+    const std::vector<double> c_over_dt = step_capacitance_diagonal(net, kDt);
+    Matrix step_matrix = net.conductance();
+    for (std::size_t i = 0; i < n; ++i) step_matrix(i, i) += c_over_dt[i];
+    const LuFactorization oracle(step_matrix);
+    TransientSolver sparse(net, kDt);
+    Rng rng(7);
+    std::vector<double> power(static_cast<std::size_t>(net.die_count()));
+    for (auto& p : power) p = rng.next_double() * 6.0;
+    const std::vector<double> full = net.expand_die_power(power);
+    std::vector<double> dense(n, 0.0);
+    for (int step = 0; step < 200; ++step) {
+      for (std::size_t i = 0; i < n; ++i)
+        dense[i] = c_over_dt[i] * dense[i] + full[i];
+      oracle.solve_in_place(dense);
+      sparse.step_die_power(power);
+    }
+    for (int i = 0; i < net.node_count(); ++i)
+      EXPECT_NEAR(dense[static_cast<std::size_t>(i)],
+                  sparse.state()[static_cast<std::size_t>(i)], 1e-8)
+          << net.node_name(i);
   }
-  for (int i = 0; i < net.node_count(); ++i)
-    EXPECT_NEAR(dense.state()[static_cast<std::size_t>(i)],
-                sparse.state()[static_cast<std::size_t>(i)], 1e-8)
-        << net.node_name(i);
 }
 
 TEST(DenseSparseAgreementTest, SparseConductanceMatchesDenseView) {

@@ -115,8 +115,7 @@ TEST(LuTest, SolveInPlaceMatchesSolveRepeatedly) {
 
 TEST(LuTest, SolveMultiBitMatchesIndependentSolves) {
   // A pivoting 4x4 so the row permutation is exercised; every column of
-  // the blocked solve must be bit-identical to a lone solve (the contract
-  // behind the batched adaptive lookahead on dense-backend networks).
+  // the blocked solve must be bit-identical to a lone solve.
   Matrix a(4, 4);
   a(0, 0) = 0.1; a(0, 1) = 4; a(0, 2) = 1; a(0, 3) = 0;
   a(1, 0) = 4;   a(1, 1) = 2; a(1, 2) = 0; a(1, 3) = 1;
