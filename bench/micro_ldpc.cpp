@@ -1,10 +1,12 @@
-// Before/after harness for the flat LDPC decode engine.
+// Before/after harness for the LDPC encode and flat decode engines.
 //
-// Times the seed (pointer-chasing, copy-in/copy-out) decode loop against
-// the flat CSR engine on the same blocks, checks bit-exactness of every
-// DecodeResult field while doing so, counts steady-state heap allocations
-// of the flat path, and scales the Monte-Carlo BER harness across threads
-// with a determinism cross-check. Guards fail the binary (nonzero exit), so
+// Times the word-parallel systematic encoder per block (every codeword is
+// checked against H), times the seed (pointer-chasing, copy-in/copy-out)
+// decode loop against the flat CSR engine on the same blocks, checks
+// bit-exactness of every DecodeResult field while doing so, counts
+// steady-state heap allocations of the encoder and the flat decoder, and
+// scales the Monte-Carlo BER harness across threads with a determinism
+// cross-check. Guards fail the binary (nonzero exit), so
 // wiring `--smoke` into CI makes divergence from the golden semantics a
 // build break instead of a silent regression.
 //
@@ -20,9 +22,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_timing.hpp"
@@ -66,6 +70,60 @@ struct CodeFixture {
     llrs = quantize_llrs(channel.transmit(encoder.encode(data)));
   }
 };
+
+struct EncodeRow {
+  int n = 0;
+  int k = 0;
+  double us_per_block = 0.0;
+  long long steady_allocs = 0;
+  bool codewords_ok = true;
+};
+
+/// Times encode_into() over a set of random data words with reused
+/// buffers, counts its warmed allocations, and checks every codeword
+/// against the code's parity checks.
+EncodeRow run_encode_row(int n, double budget_ms) {
+  const CodeFixture f(n);
+  constexpr int kBlocks = 16;
+  std::vector<std::vector<std::uint8_t>> data(kBlocks);
+  Rng rng(21);
+  for (auto& d : data) {
+    d.resize(static_cast<std::size_t>(f.encoder.k()));
+    for (auto& b : d) b = static_cast<std::uint8_t>(rng.next_below(2));
+  }
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> cw;
+  const auto encode_all = [&] {
+    for (const auto& d : data) f.encoder.encode_into(d, words, cw);
+  };
+
+  EncodeRow row;
+  row.n = n;
+  row.k = f.encoder.k();
+  row.us_per_block = time_ms(budget_ms, encode_all) * 1000.0 / kBlocks;
+  {
+    const AllocGuard guard;
+    encode_all();
+    row.steady_allocs = guard.count();
+  }
+  for (const auto& d : data) {
+    f.encoder.encode_into(d, words, cw);
+    row.codewords_ok = row.codewords_ok && f.code.is_codeword(cw);
+  }
+  return row;
+}
+
+/// First "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      return colon == std::string::npos ? line : line.substr(colon + 2);
+    }
+  return "unknown";
+}
 
 bool results_equal(const DecodeResult& a, const DecodeResult& b) {
   return a.hard_bits == b.hard_bits && a.syndrome_ok == b.syndrome_ok &&
@@ -309,6 +367,7 @@ BerScaling run_ber_scaling(const CodeFixture& f, BerConfig cfg,
 }
 
 void write_json(const std::string& path, bool smoke,
+                const std::vector<EncodeRow>& encode,
                 const std::vector<GoldenRow>& golden,
                 const std::vector<BatchTierRow>& batch, const NocRow& noc,
                 const BerScaling& ber, const BerBatch& ber_batch,
@@ -319,6 +378,24 @@ void write_json(const std::string& path, bool smoke,
   json.begin_object();
   json.key("bench").string("micro_ldpc");
   json.key("smoke").boolean(smoke);
+  json.key("machine").begin_object();
+  json.key("nproc").integer(
+      static_cast<long long>(std::thread::hardware_concurrency()));
+  json.key("cpu").string(cpu_model());
+  json.key("compiler").string(RENOC_BENCH_COMPILER);
+  json.key("simd_tier").string(simd::active_tier_name());
+  json.end_object();
+  json.key("encode").begin_array();
+  for (const EncodeRow& r : encode) {
+    json.begin_object();
+    json.key("n").integer(r.n);
+    json.key("k").integer(r.k);
+    json.key("us_per_block").real(r.us_per_block, 3);
+    json.key("steady_state_allocs").integer(r.steady_allocs);
+    json.key("codewords_ok").boolean(r.codewords_ok);
+    json.end_object();
+  }
+  json.end_array();
   json.key("golden_decode").begin_array();
   for (const GoldenRow& r : golden) {
     json.begin_object();
@@ -392,6 +469,26 @@ int run(bool smoke, const std::string& json_path) {
   const std::vector<int> sizes =
       smoke ? std::vector<int>{510} : std::vector<int>{510, 2046};
   const double budget_ms = smoke ? 10.0 : 300.0;
+  bool ok = true;
+
+  // --- Systematic encode: word-parallel encode_into ---------------------
+  Table encode_table({"n", "k", "us/block", "steady allocs", "codewords"});
+  encode_table.set_title(
+      std::string("Systematic encode (word-parallel encode_into, reused "
+                  "buffers), best-of-N") +
+      (smoke ? " [smoke]" : ""));
+  std::vector<EncodeRow> encode_rows;
+  for (int n : sizes) {
+    const EncodeRow r = run_encode_row(n, budget_ms);
+    encode_rows.push_back(r);
+    encode_table.add_row({std::to_string(r.n), std::to_string(r.k),
+                          Table::num(r.us_per_block, 2),
+                          std::to_string(r.steady_allocs),
+                          r.codewords_ok ? "ok" : "NOT CODEWORDS"});
+    ok = ok && r.codewords_ok &&
+         (r.steady_allocs == 0 || !alloc_guard::instrumented());
+  }
+  encode_table.print(std::cout);
 
   // --- Golden decode: seed loop vs flat engine -------------------------
   Table golden_table({"n", "edges", "seed ms", "flat ms", "speedup",
@@ -401,7 +498,6 @@ int run(bool smoke, const std::string& json_path) {
                   "(copy-in/copy-out) vs flat CSR engine, best-of-N") +
       (smoke ? " [smoke]" : ""));
   std::vector<GoldenRow> golden_rows;
-  bool ok = true;
   for (int n : sizes) {
     const GoldenRow r = run_golden_row(n, 10, budget_ms);
     golden_rows.push_back(r);
@@ -504,13 +600,14 @@ int run(bool smoke, const std::string& json_path) {
   service_table.print(std::cout);
   ok = ok && service.ok();
 
-  write_json(json_path, smoke, golden_rows, batch_rows, noc, ber, ber_batch,
-             cfg, service);
+  write_json(json_path, smoke, encode_rows, golden_rows, batch_rows, noc,
+             ber, ber_batch, cfg, service);
 
   if (!ok) {
-    std::cerr << "FAIL: flat or batched decode diverged from the golden "
-                 "semantics, allocated in steady state, the BER sweep "
-                 "depended on thread count or batch width, or the sweep "
+    std::cerr << "FAIL: the encoder emitted a non-codeword, flat or "
+                 "batched decode diverged from the golden semantics, the "
+                 "encoder or a decoder allocated in steady state, the BER "
+                 "sweep depended on thread count or batch width, or the sweep "
                  "service broke shard/resume identity\n";
     return 1;
   }

@@ -32,6 +32,65 @@ Rng ber_block_rng(std::uint64_t seed, int point, int block) {
       static_cast<std::uint64_t>(block)));
 }
 
+namespace {
+
+// One worker's block generator: the job grid plus reusable buffers for
+// every stage of a block, so a warmed generate() allocates nothing. All
+// three BER paths (run_ber_sweep's scalar and batch workers and the
+// sweep-service runner) regenerate blocks through this one class.
+class BlockSource {
+ public:
+  BlockSource(const LdpcEncoder& encoder, const BerConfig& cfg)
+      : encoder_(encoder),
+        cfg_(cfg),
+        shape_{static_cast<std::int64_t>(cfg.ebn0_db.size()),
+               cfg.blocks_per_point},
+        rate_(static_cast<double>(encoder.k()) /
+              static_cast<double>(encoder.n())),
+        data_(static_cast<std::size_t>(encoder.k())) {}
+
+  /// Regenerates job `job`'s block — data bits, codeword `cw`, quantized
+  /// channel LLRs `llrs` — from the job's own stateless stream, and returns
+  /// its sweep point. The job space is the row-major {points, blocks}
+  /// grid, so the stream a block sees depends only on its (point, block)
+  /// coordinates, never on which worker (or batch lane) runs it.
+  int generate(std::int64_t job, std::vector<std::uint8_t>& cw,
+               std::vector<std::int16_t>& llrs) {
+    sweep::decode_scenario_index(job, shape_, digits_);
+    const int p = static_cast<int>(digits_[0]);
+    const int b = static_cast<int>(digits_[1]);
+    Rng rng = ber_block_rng(cfg_.seed, p, b);
+    for (auto& bit : data_)
+      bit = static_cast<std::uint8_t>(rng.next_below(2));
+    encoder_.encode_into(data_, words_, cw);
+    AwgnChannel channel(cfg_.ebn0_db[static_cast<std::size_t>(p)], rate_,
+                        rng.split());
+    channel.transmit_into(cw, soft_);
+    quantize_llrs_into(soft_, llrs);
+    return p;
+  }
+
+ private:
+  const LdpcEncoder& encoder_;
+  const BerConfig& cfg_;
+  const std::vector<std::int64_t> shape_;
+  const double rate_;
+  std::vector<std::int64_t> digits_;
+  std::vector<std::uint8_t> data_;
+  std::vector<std::uint64_t> words_;  // encoder bit buffer
+  std::vector<double> soft_;          // unquantized channel LLRs
+};
+
+std::int64_t count_bit_errors(const std::vector<std::uint8_t>& cw,
+                              const DecodeResult& result) {
+  std::int64_t errs = 0;
+  for (std::size_t i = 0; i < cw.size(); ++i)
+    errs += result.hard_bits[i] != cw[i];
+  return errs;
+}
+
+}  // namespace
+
 std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
                                     const LdpcEncoder& encoder,
                                     const BerConfig& cfg) {
@@ -39,52 +98,20 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
   RENOC_CHECK_MSG(encoder.n() == code.n(), "encoder does not match code");
 
   const int points = static_cast<int>(cfg.ebn0_db.size());
-  const int blocks = cfg.blocks_per_point;
-  const double rate =
-      static_cast<double>(encoder.k()) / static_cast<double>(encoder.n());
-
   const std::int64_t total_jobs =
-      static_cast<std::int64_t>(points) * static_cast<std::int64_t>(blocks);
+      static_cast<std::int64_t>(points) *
+      static_cast<std::int64_t>(cfg.blocks_per_point);
   std::atomic<std::int64_t> cursor{0};
 
   const auto accumulate = [&code](BerPoint& pt,
                                   const std::vector<std::uint8_t>& cw,
                                   const DecodeResult& result) {
-    std::int64_t errs = 0;
-    for (std::size_t i = 0; i < cw.size(); ++i)
-      errs += result.hard_bits[i] != cw[i];
+    const std::int64_t errs = count_bit_errors(cw, result);
     ++pt.blocks;
     pt.bits += code.n();
     pt.bit_errors += errs;
     pt.block_errors += errs > 0;
     pt.iterations_total += result.iterations_run;
-  };
-
-  // The job space is the row-major {points, blocks} grid; the shared
-  // decoder maps a flat job index back to its (point, block) tuple. Each
-  // worker owns a digits buffer, so decoding allocates nothing per job.
-  const std::vector<std::int64_t> shape = {points, blocks};
-
-  // Regenerates job `job`'s block: data bits, codeword, and quantized
-  // channel LLRs, all from the job's own stateless stream.
-  const auto prepare_block = [&](std::int64_t job,
-                                 std::vector<std::int64_t>& digits,
-                                 std::vector<std::uint8_t>& data,
-                                 std::vector<std::uint8_t>& cw,
-                                 std::vector<std::int16_t>& llrs) {
-    // The stream a block sees depends only on its (point, block)
-    // coordinates — never on which worker (or batch lane) runs it.
-    sweep::decode_scenario_index(job, shape, digits);
-    const int p = static_cast<int>(digits[0]);
-    const int b = static_cast<int>(digits[1]);
-    Rng rng = ber_block_rng(cfg.seed, p, b);
-    for (auto& bit : data)
-      bit = static_cast<std::uint8_t>(rng.next_below(2));
-    cw = encoder.encode(data);
-    AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], rate,
-                        rng.split());
-    llrs = quantize_llrs(channel.transmit(cw));
-    return p;
   };
 
   // Each worker decodes with a private decoder/result (decoder workspaces
@@ -93,15 +120,14 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
   auto worker = [&](std::vector<BerPoint>& acc) {
     acc.assign(static_cast<std::size_t>(points), BerPoint{});
     const MinSumDecoder decoder(code, cfg.iterations, cfg.early_exit);
+    BlockSource source(encoder, cfg);
     DecodeResult result;
-    std::vector<std::int64_t> digits;
-    std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
     std::vector<std::uint8_t> cw;
     std::vector<std::int16_t> llrs;
     for (;;) {
       const std::int64_t job = cursor.fetch_add(1, std::memory_order_relaxed);
       if (job >= total_jobs) break;
-      const int p = prepare_block(job, digits, data, cw, llrs);
+      const int p = source.generate(job, cw, llrs);
       decoder.decode_into(llrs, result);
       accumulate(acc[static_cast<std::size_t>(p)], cw, result);
     }
@@ -117,10 +143,9 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
     const int cap = cfg.batch_size;
     const MinSumBatchDecoder decoder(code, cfg.iterations, cfg.early_exit,
                                      cap);
+    BlockSource source(encoder, cfg);
     const std::size_t capz = static_cast<std::size_t>(cap);
     std::vector<DecodeResult> results(capz);
-    std::vector<std::int64_t> digits;
-    std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
     std::vector<std::vector<std::uint8_t>> cws(capz);
     std::vector<std::vector<std::int16_t>> llrs(capz);
     std::vector<const std::int16_t*> llr_ptrs(capz);
@@ -133,8 +158,7 @@ std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
           std::min<std::int64_t>(cap, total_jobs - first));
       for (int b = 0; b < run; ++b) {
         const std::size_t bz = static_cast<std::size_t>(b);
-        lane_point[bz] =
-            prepare_block(first + b, digits, data, cws[bz], llrs[bz]);
+        lane_point[bz] = source.generate(first + b, cws[bz], llrs[bz]);
         llr_ptrs[bz] = llrs[bz].data();
       }
       decoder.decode_batch_into(llr_ptrs.data(), run, results.data());
@@ -199,6 +223,9 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
   // Everything that determines a block's decode result goes into the
   // fingerprint; thread and batch counts are excluded because the counts
   // are invariant in both (pinned by ber_harness_test and the bench).
+  // The code enters as its full parity-check structure (check offsets and
+  // the variable on every edge), not just its shape: two codes with equal
+  // n and m must not share a checkpoint.
   sweep::DigestBuilder digest;
   digest.fold_string("ber")
       .fold(cfg.seed)
@@ -207,6 +234,8 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
       .fold_int(cfg.early_exit ? 1 : 0)
       .fold_int(code.n())
       .fold_int(code.m());
+  for (const int offset : code.check_offsets()) digest.fold_int(offset);
+  for (const int var : code.check_neighbors()) digest.fold_int(var);
   for (const double ebn0 : cfg.ebn0_db) digest.fold_real(ebn0);
   spec.config_digest = digest.digest();
 
@@ -215,40 +244,21 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
     // built once per worker, exactly like run_ber_sweep's workers.
     struct WorkerState {
       MinSumDecoder decoder;
+      BlockSource source;
       DecodeResult result;
-      std::vector<std::int64_t> digits;
-      std::vector<std::int64_t> shape;
-      std::vector<std::uint8_t> data;
       std::vector<std::uint8_t> cw;
       std::vector<std::int16_t> llrs;
-      double rate = 0.0;
 
       WorkerState(const LdpcCode& c, const LdpcEncoder& e,
                   const BerConfig& b)
-          : decoder(c, b.iterations, b.early_exit),
-            shape{static_cast<std::int64_t>(b.ebn0_db.size()),
-                  b.blocks_per_point},
-            data(static_cast<std::size_t>(e.k())),
-            rate(static_cast<double>(e.k()) / static_cast<double>(e.n())) {}
+          : decoder(c, b.iterations, b.early_exit), source(e, b) {}
     };
     auto state = std::make_shared<WorkerState>(code, encoder, cfg);
-    return [state, &code, &encoder, &cfg](std::int64_t scenario,
-                                          std::uint64_t* words) {
+    return [state, &code](std::int64_t scenario, std::uint64_t* words) {
       WorkerState& ws = *state;
-      sweep::decode_scenario_index(scenario, ws.shape, ws.digits);
-      const int p = static_cast<int>(ws.digits[0]);
-      const int b = static_cast<int>(ws.digits[1]);
-      Rng rng = ber_block_rng(cfg.seed, p, b);
-      for (auto& bit : ws.data)
-        bit = static_cast<std::uint8_t>(rng.next_below(2));
-      ws.cw = encoder.encode(ws.data);
-      AwgnChannel channel(cfg.ebn0_db[static_cast<std::size_t>(p)], ws.rate,
-                          rng.split());
-      ws.llrs = quantize_llrs(channel.transmit(ws.cw));
+      ws.source.generate(scenario, ws.cw, ws.llrs);
       ws.decoder.decode_into(ws.llrs, ws.result);
-      std::int64_t errs = 0;
-      for (std::size_t i = 0; i < ws.cw.size(); ++i)
-        errs += ws.result.hard_bits[i] != ws.cw[i];
+      const std::int64_t errs = count_bit_errors(ws.cw, ws.result);
       words[kBits] = static_cast<std::uint64_t>(code.n());
       words[kBitErrors] = static_cast<std::uint64_t>(errs);
       words[kBlockError] = errs > 0 ? 1 : 0;

@@ -17,8 +17,11 @@
 // the property the determinism test and the bench guard pin.
 //
 // Each worker owns a private MinSumDecoder (decoder workspaces are not
-// shareable across threads) and a reused DecodeResult, so the steady-state
-// decode path performs no heap allocation.
+// shareable across threads), a reused DecodeResult, and reused buffers for
+// every stage of block generation (data draw, encode_into, transmit_into,
+// quantize_llrs_into), so the warmed block pipeline performs no heap
+// allocation. The shared LdpcEncoder is immutable and needs no per-worker
+// copy.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,14 @@
 // reduces H to reduced row-echelon form once at construction. Pivot columns
 // become parity positions; the remaining (free) columns carry data. Each
 // pivot row then reads "parity bit = XOR of the data bits present in the
-// row", which is exactly how encode() fills a codeword.
+// row", which is exactly how encode_into() fills a codeword.
+//
+// Encoding is word-parallel: the data bits are scattered once into an n-bit
+// word buffer x (zero at every pivot column), and each parity bit is the
+// parity of popcount(rref_row & x) over the row's n/64 words, so one encode
+// costs O(rank·n/64) word operations. The encoder is immutable after
+// construction, so one instance is shared by every worker thread; the word
+// buffer is caller-owned scratch.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +32,15 @@ class LdpcEncoder {
   /// rank(H); the number of independent parity constraints.
   int rank() const { return static_cast<int>(pivot_cols_.size()); }
 
-  /// Encodes `data` (size k, 0/1 values) into a codeword (size n) that
-  /// satisfies every check of the original code.
+  /// Encodes `data` (size k, 0/1 values) into `codeword` (resized to n) so
+  /// that it satisfies every check of the original code. `words` is the
+  /// caller's n-bit scratch buffer; once both buffers have reached their
+  /// sizes, encoding performs no heap allocation. O(rank·n/64).
+  void encode_into(const std::vector<std::uint8_t>& data,
+                   std::vector<std::uint64_t>& words,
+                   std::vector<std::uint8_t>& codeword) const;
+
+  /// Value-returning form of encode_into() with fresh buffers.
   std::vector<std::uint8_t> encode(const std::vector<std::uint8_t>& data) const;
 
   /// Extracts the data bits back out of a codeword (inverse of the
@@ -35,17 +49,11 @@ class LdpcEncoder {
       const std::vector<std::uint8_t>& codeword) const;
 
  private:
-  using Row = std::vector<std::uint64_t>;  // bitset over n columns
-
-  bool get(const Row& r, int col) const {
-    return (r[static_cast<std::size_t>(col / 64)] >>
-            (static_cast<unsigned>(col) % 64)) & 1ULL;
-  }
-
   int n_ = 0;
-  std::vector<Row> rref_rows_;   // one per pivot, in pivot order
-  std::vector<int> pivot_cols_;  // pivot column of each rref row
-  std::vector<int> free_cols_;   // data positions, ascending
+  std::size_t words_ = 0;            // 64-bit words per row: ceil(n / 64)
+  std::vector<std::uint64_t> rref_;  // rank rows of words_ words, pivot order
+  std::vector<int> pivot_cols_;      // pivot column of each rref row
+  std::vector<int> free_cols_;       // data positions, ascending
 };
 
 }  // namespace renoc

@@ -2,7 +2,8 @@
 //
 // The engine contract (PRs 3–5) is that every *warmed* hot path performs
 // zero heap allocations: Fabric::step() under a periodic recycled load,
-// MinSumDecoder::decode_into() with a reused result, a warmed
+// MinSumDecoder::decode_into() with a reused result, the full BER block
+// pipeline (data draw through decode_into), a warmed
 // MigrationThermalRuntime::run() at two network sizes, and the sparse
 // steady/transient solve paths. The four micro benches used to be the only
 // enforcement, at bench time, on one load shape each; these suites pin the
@@ -146,6 +147,43 @@ TEST(EngineAllocTest, WarmedDecodeIntoIsAllocationFree) {
                                 : "warmed decode_into");
     EXPECT_EQ(guard.count(), 0);
   }
+}
+
+// The whole per-block BER pipeline, as every run_ber_sweep worker runs it:
+// data draw, encode_into, transmit_into, quantize_llrs_into, decode_into,
+// each into a reused buffer. After one warm-up block every buffer is at
+// block size, so further blocks must not touch the heap.
+TEST(EngineAllocTest, WarmedBerBlockPipelineIsAllocationFree) {
+  RENOC_REQUIRE_INSTRUMENTED();
+  Rng code_rng(3);
+  const LdpcCode code = LdpcCode::make_regular(510, 3, 6, code_rng);
+  const LdpcEncoder encoder(code);
+  const MinSumDecoder decoder(code, 10, true);
+  const double rate = static_cast<double>(encoder.k()) /
+                      static_cast<double>(encoder.n());
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> cw;
+  std::vector<double> soft;
+  std::vector<std::int16_t> llrs;
+  DecodeResult result;
+  int iterations_total = 0;
+  const auto block = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
+    encoder.encode_into(data, words, cw);
+    AwgnChannel channel(2.0, rate, rng.split());
+    channel.transmit_into(cw, soft);
+    quantize_llrs_into(soft, llrs);
+    decoder.decode_into(llrs, result);
+    iterations_total += result.iterations_run;
+  };
+  block(100);  // warm-up sizes every buffer
+  const AllocGuard guard;
+  for (std::uint64_t seed = 101; seed < 109; ++seed) block(seed);
+  guard.check_zero("warmed BER block pipeline");
+  EXPECT_EQ(guard.count(), 0);
+  EXPECT_GT(iterations_total, 0);
 }
 
 /// 4x4-tile die subdivided refine x refine (as RefinedThermalModel builds

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ldpc/ber_harness.hpp"
@@ -149,6 +150,38 @@ TEST(BerHarnessTest, CountsIndependentOfBatchWidth) {
       SCOPED_TRACE("batch " + std::to_string(batch) + " threads " +
                    std::to_string(threads));
       expect_points_equal(serial, run_ber_sweep(f.code, f.encoder, cfg));
+    }
+  }
+}
+
+TEST(BerHarnessTest, PinnedCountsForFixedCodeAndSeed) {
+  // Absolute counts recorded before the word-parallel encoder landed. Any
+  // change to the codewords, the per-block RNG draws, the channel, the
+  // quantizer or the decoder moves at least one of these, so a
+  // bit-identity break fails here rather than only in the benchmark
+  // digests. Both the scalar and the batched worker must hit them.
+  const BerFixture f;
+  BerConfig cfg = small_config();
+  cfg.ebn0_db = {1.0, 2.0, 3.0};
+  cfg.blocks_per_point = 16;
+  struct Pinned {
+    std::int64_t bit_errors, block_errors, iterations_total;
+  };
+  const Pinned pinned[] = {{309, 16, 96}, {111, 12, 94}, {15, 4, 71}};
+  for (const int batch : {1, 8}) {
+    cfg.batch_size = batch;
+    cfg.threads = 2;
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const auto points = run_ber_sweep(f.code, f.encoder, cfg);
+    ASSERT_EQ(points.size(), 3u);
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      EXPECT_EQ(points[p].blocks, 16);
+      EXPECT_EQ(points[p].bits, 16 * 240);
+      EXPECT_EQ(points[p].bit_errors, pinned[p].bit_errors) << "point " << p;
+      EXPECT_EQ(points[p].block_errors, pinned[p].block_errors)
+          << "point " << p;
+      EXPECT_EQ(points[p].iterations_total, pinned[p].iterations_total)
+          << "point " << p;
     }
   }
 }

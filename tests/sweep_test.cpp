@@ -391,6 +391,41 @@ TEST(HarnessAdapterTest, BerServiceRunEqualsDirectSweep) {
   }
 }
 
+TEST(HarnessAdapterTest, BerDigestFingerprintsTheParityCheckMatrix) {
+  // A (3,6) code and a (4,8) code at n=510 both have m=255. If the digest
+  // saw only (n, m), a checkpoint of one would resume as the other.
+  BerConfig cfg;
+  cfg.ebn0_db = {2.0};
+  cfg.blocks_per_point = 4;
+  const auto digest_of = [&cfg](const LdpcCode& code) {
+    const LdpcEncoder encoder(code);
+    return make_ber_sweep_spec(code, encoder, cfg).config_digest;
+  };
+  const auto regular36 = [](std::uint64_t seed) {
+    Rng rng(seed);
+    return LdpcCode::make_regular(510, 3, 6, rng);
+  };
+  // 510 is not a multiple of 8, so the (4,8) code comes from socket
+  // matching with every variable at degree 4 and 8 sockets per check.
+  Rng rng48(3);
+  const LdpcCode code48 =
+      LdpcCode::make_irregular(std::vector<int>(510, 4), 8, rng48);
+  const LdpcCode code36 = regular36(3);
+  ASSERT_EQ(code36.n(), code48.n());
+  ASSERT_EQ(code36.m(), code48.m());
+  EXPECT_NE(digest_of(code36), digest_of(code48));
+  // Same degrees, different edge permutation: still a different code.
+  EXPECT_NE(digest_of(code36), digest_of(regular36(4)));
+  // The same code fingerprints identically, rebuilt or not, and thread
+  // and batch counts stay out of the digest.
+  const std::uint64_t stable = digest_of(code36);
+  EXPECT_EQ(stable, digest_of(code36));
+  EXPECT_EQ(stable, digest_of(regular36(3)));
+  cfg.threads = 4;
+  cfg.batch_size = 8;
+  EXPECT_EQ(stable, digest_of(code36));
+}
+
 TEST(HarnessAdapterTest, NocServiceRunEqualsDirectSweep) {
   SweepConfig cfg;
   cfg.patterns = {TrafficPattern::kUniformRandom, TrafficPattern::kTranspose};
