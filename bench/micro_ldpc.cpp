@@ -22,11 +22,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_timing.hpp"
@@ -111,18 +109,6 @@ EncodeRow run_encode_row(int n, double budget_ms) {
     row.codewords_ok = row.codewords_ok && f.code.is_codeword(cw);
   }
   return row;
-}
-
-/// First "model name" line of /proc/cpuinfo, or "unknown".
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line))
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      return colon == std::string::npos ? line : line.substr(colon + 2);
-    }
-  return "unknown";
 }
 
 bool results_equal(const DecodeResult& a, const DecodeResult& b) {
@@ -378,13 +364,7 @@ void write_json(const std::string& path, bool smoke,
   json.begin_object();
   json.key("bench").string("micro_ldpc");
   json.key("smoke").boolean(smoke);
-  json.key("machine").begin_object();
-  json.key("nproc").integer(
-      static_cast<long long>(std::thread::hardware_concurrency()));
-  json.key("cpu").string(cpu_model());
-  json.key("compiler").string(RENOC_BENCH_COMPILER);
-  json.key("simd_tier").string(simd::active_tier_name());
-  json.end_object();
+  bench::write_machine_json(json);
   json.key("encode").begin_array();
   for (const EncodeRow& r : encode) {
     json.begin_object();

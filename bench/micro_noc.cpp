@@ -11,6 +11,13 @@
 // (nonzero exit), so wiring `--smoke` into CI makes divergence from the
 // seed semantics a build break instead of a silent regression.
 //
+// A decode section times the layer the paper pipeline actually spends its
+// NoC time in: NocLdpcDecoder::decode_block on the full-scale chip
+// configurations (A and E; A only under --smoke), reporting host ns per
+// simulated cycle and the share of cycles the decoder skipped with
+// Fabric::advance_idle instead of stepping. Its decoded bits must equal
+// the golden decoder's.
+//
 // Results are also written as machine-readable JSON (BENCH_noc.json by
 // default) so CI can archive them per commit.
 //
@@ -29,6 +36,10 @@
 #include <vector>
 
 #include "bench_timing.hpp"
+#include "core/chip_config.hpp"
+#include "core/transform.hpp"
+#include "ldpc/decoder.hpp"
+#include "ldpc/noc_decoder.hpp"
 #include "noc/fabric.hpp"
 #include "noc/fault_model.hpp"
 #include "util/json.hpp"
@@ -326,6 +337,47 @@ std::vector<WantScanRow> run_want_scan_rows(int side, double budget_ms) {
   return rows;
 }
 
+struct DecodeRow {
+  std::string config;
+  int mesh = 0;
+  std::uint64_t cycles_per_block = 0;
+  double ms_per_block = 0.0;
+  double ns_per_cycle = 0.0;   ///< host time per simulated fabric cycle
+  double skipped_share = 0.0;  ///< cycles advanced by advance_idle
+  bool golden_match = false;
+};
+
+/// Times decode_block on one full-scale chip configuration, placed the way
+/// ReconfigurableLdpcSystem places it (cluster c on tile c).
+DecodeRow run_decode_row(const std::string& name, double budget_ms) {
+  const ChipConfig cfg = config_by_name(name);
+  const BuiltChip chip = build_chip(cfg);
+  std::vector<int> placement = identity_permutation(cfg.dim.node_count());
+  placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
+  Fabric fabric(cfg.noc);
+  NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
+                         cfg.ldpc_params);
+  DecodeRow row;
+  row.config = name;
+  row.mesh = cfg.dim.width;
+  // The first block warms the payload pool and doubles as the skip probe.
+  const Cycle now0 = fabric.now();
+  const Cycle skipped0 = fabric.skipped_cycles();
+  NocDecodeResult res = decoder.decode_block(chip.channel_llrs);
+  row.cycles_per_block = res.cycles;
+  row.skipped_share =
+      static_cast<double>(fabric.skipped_cycles() - skipped0) /
+      static_cast<double>(fabric.now() - now0);
+  row.ms_per_block = time_ms(
+      budget_ms, [&] { res = decoder.decode_block(chip.channel_llrs); });
+  row.ns_per_cycle =
+      row.ms_per_block * 1e6 / static_cast<double>(row.cycles_per_block);
+  const MinSumDecoder golden(chip.code, cfg.ldpc_params.iterations);
+  row.golden_match =
+      res.hard_bits == golden.decode(chip.channel_llrs).hard_bits;
+  return row;
+}
+
 struct SweepGuard {
   int scenarios = 0;
   bool deterministic = true;
@@ -375,6 +427,7 @@ void write_json(const std::string& path, bool smoke,
                 const std::vector<CompareRow>& compares,
                 const std::vector<RateRow>& rates,
                 const std::vector<WantScanRow>& want_scan,
+                const std::vector<DecodeRow>& decode,
                 long long steady_allocs, const SweepGuard& sweep,
                 const DegradedGuard& degraded,
                 const bench::ServiceGuardResult& service) {
@@ -383,6 +436,7 @@ void write_json(const std::string& path, bool smoke,
   json.begin_object();
   json.key("bench").string("micro_noc");
   json.key("smoke").boolean(smoke);
+  bench::write_machine_json(json);
   json.key("engine_compare").begin_array();
   for (const CompareRow& r : compares) {
     json.begin_object();
@@ -420,6 +474,19 @@ void write_json(const std::string& path, bool smoke,
   }
   json.end_array();
   json.end_object();
+  json.key("decode").begin_array();
+  for (const DecodeRow& r : decode) {
+    json.begin_object();
+    json.key("config").string(r.config);
+    json.key("mesh").integer(r.mesh);
+    json.key("cycles_per_block").uinteger(r.cycles_per_block);
+    json.key("ms_per_block").real(r.ms_per_block, 3);
+    json.key("ns_per_cycle").real(r.ns_per_cycle, 1);
+    json.key("skipped_share").real(r.skipped_share, 4);
+    json.key("golden_match").boolean(r.golden_match);
+    json.end_object();
+  }
+  json.end_array();
   json.key("steady_state_allocs").integer(steady_allocs);
   json.key("sweep_determinism").begin_object();
   json.key("scenarios").integer(sweep.scenarios);
@@ -559,6 +626,28 @@ int run(bool smoke, const std::string& json_path) {
     ok = ok && r.exact;
   }
   want_table.print(std::cout);
+
+  // --- NoC-mapped LDPC decode: the end-to-end NoC layer ------------------
+  Table decode_table({"config", "mesh", "cycles/block", "ms/block",
+                      "ns/cycle", "skipped", "== golden"});
+  decode_table.set_title(
+      "NocLdpcDecoder::decode_block at full scale, best-of-N; skipped = "
+      "share of cycles advanced by advance_idle");
+  std::vector<DecodeRow> decode_rows;
+  for (const char* name : smoke ? std::vector<const char*>{"A"}
+                                : std::vector<const char*>{"A", "E"}) {
+    const DecodeRow r = run_decode_row(name, smoke ? 1.0 : 2000.0);
+    decode_table.add_row(
+        {r.config,
+         std::to_string(r.mesh) + "x" + std::to_string(r.mesh),
+         std::to_string(r.cycles_per_block), Table::num(r.ms_per_block, 2),
+         Table::num(r.ns_per_cycle, 0),
+         Table::num(100.0 * r.skipped_share, 1) + "%",
+         r.golden_match ? "yes" : "NO"});
+    ok = ok && r.golden_match;
+    decode_rows.push_back(r);
+  }
+  decode_table.print(std::cout);
 
   // --- Steady-state allocation guard ------------------------------------
   // Deterministic periodic load (every node sends a 4-word message to its
@@ -784,12 +873,13 @@ int run(bool smoke, const std::string& json_path) {
   service_table.print(std::cout);
   ok = ok && service.ok();
 
-  write_json(json_path, smoke, compares, rate_rows, want_rows, steady_allocs,
-             sweep, degraded, service);
+  write_json(json_path, smoke, compares, rate_rows, want_rows, decode_rows,
+             steady_allocs, sweep, degraded, service);
 
   if (!ok) {
     std::cerr << "FAIL: flat fabric diverged from the seed reference, "
                  "a SIMD want-scan tier disagreed with the scalar prepass, "
+                 "the NoC decode diverged from the golden decoder, "
                  "allocated in steady state, lost a packet without a drop "
                  "record, a sweep depended on thread count, or the sweep "
                  "service broke shard/resume identity\n";

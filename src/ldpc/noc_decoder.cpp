@@ -45,6 +45,9 @@ NocLdpcDecoder::NocLdpcDecoder(Fabric& fabric, const LdpcCode& code,
   build_static_tables();
   r_.resize(static_cast<std::size_t>(code.edge_count()), 0);
   q_.resize(static_cast<std::size_t>(code.edge_count()), 0);
+  runtime_.resize(static_cast<std::size_t>(cluster_count()));
+  received_.resize(static_cast<std::size_t>(cluster_count()) *
+                   static_cast<std::size_t>(phase_count() + 1));
 }
 
 void NocLdpcDecoder::set_placement(const std::vector<int>& placement) {
@@ -136,7 +139,6 @@ int NocLdpcDecoder::migration_state_words(int cluster) const {
 }
 
 bool NocLdpcDecoder::inputs_ready(int cluster, int phase) const {
-  const auto& rt = runtime_[static_cast<std::size_t>(cluster)];
   const bool is_cn_phase = (phase < 2 * params_.iterations) && (phase % 2 == 1);
   const int expected =
       is_cn_phase ? expected_cn_inputs_[static_cast<std::size_t>(cluster)]
@@ -144,7 +146,7 @@ bool NocLdpcDecoder::inputs_ready(int cluster, int phase) const {
                          ? 0  // first VN phase needs no r messages
                          : expected_vn_inputs_[static_cast<std::size_t>(
                                cluster)]);
-  return rt.received[static_cast<std::size_t>(phase)] >= expected;
+  return received_[received_index(cluster, phase)] >= expected;
 }
 
 Cycle NocLdpcDecoder::phase_cost(int cluster, int phase) const {
@@ -212,8 +214,7 @@ void NocLdpcDecoder::unpack_message(const Message& msg) {
   // feeds VN (or final) phase 2i+2.
   const int consumer_phase = phase + 1;
   RENOC_CHECK(consumer_phase < phase_count() + 1);
-  auto& rt = runtime_[static_cast<std::size_t>(dst_cluster)];
-  ++rt.received[static_cast<std::size_t>(consumer_phase)];
+  ++received_[received_index(dst_cluster, consumer_phase)];
 }
 
 void NocLdpcDecoder::send_phase_messages(int cluster, int phase) {
@@ -317,43 +318,69 @@ NocDecodeResult NocLdpcDecoder::decode_block(
   std::fill(q_.begin(), q_.end(), static_cast<std::int16_t>(0));
   hard_bits_.assign(static_cast<std::size_t>(code.n()), 0);
 
-  runtime_.assign(static_cast<std::size_t>(cluster_count()), ClusterRuntime{});
-  for (auto& rt : runtime_)
-    rt.received.assign(static_cast<std::size_t>(phase_count() + 1), 0);
+  std::fill(runtime_.begin(), runtime_.end(), ClusterRuntime{});
+  std::fill(received_.begin(), received_.end(), 0);
 
   const Cycle start = fabric_->now();
   Cycle done_at = start;
   const std::uint64_t deadline = start + params_.max_cycles_per_block;
 
+  // renoc-hot-begin (once per simulated cycle of every NoC-decoded block)
+  // `rescan`: some PE's inputs or phase changed since the last scan of the
+  // PE state machines. Without a change, a scan is a no-op until the
+  // earliest compute completion `next_finish`: waiting PEs were found not
+  // ready and nothing new arrived, computing PEs are not due yet.
+  bool rescan = true;
+  Cycle next_finish = deadline;
   for (;;) {
-    // Deliver any completed packets to their clusters.
-    for (int tile = 0; tile < fabric_->node_count(); ++tile) {
+    // Deliver completed packets to their clusters, tiles in ascending
+    // order (unpacking sends nothing, so the ready set is stable here).
+    for (int tile = fabric_->next_delivered_node(0); tile >= 0;
+         tile = fabric_->next_delivered_node(tile + 1)) {
       while (auto msg = fabric_->try_receive(tile)) {
         unpack_message(*msg);
         fabric_->recycle(std::move(*msg));
+        rescan = true;
       }
     }
 
-    // Advance every PE's state machine.
-    bool all_done = true;
-    for (int cl = 0; cl < cluster_count(); ++cl) {
-      auto& rt = runtime_[static_cast<std::size_t>(cl)];
-      if (rt.state == PeState::kWaiting) start_phase_if_ready(cl);
-      if (rt.state == PeState::kComputing &&
-          fabric_->now() >= rt.busy_until) {
-        finish_compute(cl);
-        // A cluster whose next phase needs no further input (e.g. all its
-        // edges are internal) can begin immediately next cycle.
-        if (rt.state == PeState::kDone) done_at = fabric_->now();
+    // Advance the PE state machines, in cluster order.
+    if (rescan || fabric_->now() >= next_finish) {
+      rescan = false;
+      next_finish = deadline;
+      bool all_done = true;
+      for (int cl = 0; cl < cluster_count(); ++cl) {
+        auto& rt = runtime_[static_cast<std::size_t>(cl)];
+        if (rt.state == PeState::kWaiting) start_phase_if_ready(cl);
+        if (rt.state == PeState::kComputing) {
+          if (fabric_->now() >= rt.busy_until) {
+            finish_compute(cl);
+            // Its next phase may need no further input (e.g. all its edges
+            // are internal): check it again next cycle.
+            rescan = true;
+            if (rt.state == PeState::kDone) done_at = fabric_->now();
+          } else {
+            next_finish = std::min(next_finish, rt.busy_until);
+          }
+        }
+        if (rt.state != PeState::kDone) all_done = false;
       }
-      if (rt.state != PeState::kDone) all_done = false;
+      if (all_done) break;
     }
-    if (all_done) break;
 
-    fabric_->step();
+    // Skip ahead: with no PE state change pending (so nothing was sent)
+    // and an idle fabric (so nothing can be delivered), every cycle before
+    // the earliest compute completion is a no-op step. The jump is capped
+    // at the deadline, so a deadlock (no PE computing) still trips the
+    // guard below at the cycle it always did.
+    if (!rescan && fabric_->idle())
+      fabric_->advance_idle(next_finish - fabric_->now());
+    else
+      fabric_->step();
     RENOC_CHECK_MSG(fabric_->now() < deadline,
                     "block exceeded max_cycles_per_block — decoder deadlock?");
   }
+  // renoc-hot-end
 
   NocDecodeResult result;
   result.hard_bits = hard_bits_;

@@ -22,6 +22,14 @@
 // Timing is value-independent (fixed iterations, static message sets), so
 // every block takes the same number of cycles: the deterministic block time
 // the paper aligns migration periods with.
+//
+// The block loop is event-driven but cycle-accurate: deliveries come from
+// the fabric's ready set (Fabric::next_delivered_node), the PE state
+// machines are rescanned only when a message arrived, a PE finished, or a
+// compute completion is due, and while every PE computes or waits on an
+// idle fabric the clock jumps straight to the earliest completion with
+// Fabric::advance_idle. Every simulated count is what stepping each cycle
+// would produce (tests/noc_decoder_test.cpp pins them).
 #pragma once
 
 #include <cstdint>
@@ -89,7 +97,6 @@ class NocLdpcDecoder {
     PeState state = PeState::kWaiting;
     int phase = 0;
     Cycle busy_until = 0;
-    std::vector<int> received;  // per phase, messages received so far
   };
 
   // Static per-(src,dst) edge lists, canonical order (ascending edge id).
@@ -101,6 +108,11 @@ class NocLdpcDecoder {
 
   void build_static_tables();
   void unpack_message(const Message& msg);
+  std::size_t received_index(int cluster, int phase) const {
+    return static_cast<std::size_t>(cluster) *
+               static_cast<std::size_t>(phase_count() + 1) +
+           static_cast<std::size_t>(phase);
+  }
   void start_phase_if_ready(int cluster);
   void finish_compute(int cluster);
   void send_phase_messages(int cluster, int phase);
@@ -133,6 +145,9 @@ class NocLdpcDecoder {
   std::vector<std::int16_t> llr_;
   std::vector<std::uint8_t> hard_bits_;
   std::vector<ClusterRuntime> runtime_;
+  // Messages received so far, [cluster * (phase_count() + 1) + phase]:
+  // one pre-sized array, reset per block without touching the heap.
+  std::vector<int> received_;
 };
 
 }  // namespace renoc

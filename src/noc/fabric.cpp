@@ -1,6 +1,7 @@
 #include "noc/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/check.hpp"
@@ -19,6 +20,17 @@ constexpr int kOppositeDir[4] = {1, 0, 3, 2};
 // enough that real workloads never hit it, low enough to bound memory if a
 // caller recycles far more than it sends.
 constexpr std::size_t kPayloadPoolCap = 16384;
+
+// Node bitmasks (delivered_ready_, active_nis_): one bit per node, 64 per
+// word.
+void set_bit(std::vector<std::uint64_t>& mask, int node) {
+  mask[static_cast<std::size_t>(node) >> 6] |= std::uint64_t{1}
+                                                << (node & 63);
+}
+void clear_bit(std::vector<std::uint64_t>& mask, int node) {
+  mask[static_cast<std::size_t>(node) >> 6] &=
+      ~(std::uint64_t{1} << (node & 63));
+}
 
 }  // namespace
 
@@ -66,6 +78,8 @@ Fabric::Fabric(const NocConfig& config)
   owner_packet_.assign(ports, 0);
   rr_pointer_.assign(ports, 0);
   node_buffered_.assign(nodes, 0);
+  delivered_ready_.assign((nodes + 63) / 64, 0);
+  active_nis_.assign((nodes + 63) / 64, 0);
   nis_.resize(nodes);
   slots_.resize(nodes * nodes);
   payload_pool_.reserve(256);
@@ -159,14 +173,18 @@ void Fabric::send(Message&& msg) {
     recycle(std::move(msg));
     return;
   }
-  nis_[static_cast<std::size_t>(msg.src)].send_queue.push(std::move(msg));
+  const int src = msg.src;
+  nis_[static_cast<std::size_t>(src)].send_queue.push(std::move(msg));
+  set_bit(active_nis_, src);
 }
 
 std::optional<Message> Fabric::try_receive(int node) {
   RENOC_CHECK(node >= 0 && node < node_count());
   auto& ni = nis_[static_cast<std::size_t>(node)];
   if (ni.delivered.empty()) return std::nullopt;
-  return ni.delivered.pop();
+  std::optional<Message> msg(ni.delivered.pop());
+  if (ni.delivered.empty()) clear_bit(delivered_ready_, node);
+  return msg;
 }
 
 void Fabric::recycle(Message&& msg) {
@@ -189,6 +207,27 @@ int Fabric::delivered_count(int node) const {
   RENOC_CHECK(node >= 0 && node < node_count());
   return static_cast<int>(
       nis_[static_cast<std::size_t>(node)].delivered.size());
+}
+
+int Fabric::next_delivered_node(int from) const {
+  RENOC_CHECK(from >= 0 && from <= node_count());
+  std::size_t w = static_cast<std::size_t>(from) >> 6;
+  if (w >= delivered_ready_.size()) return -1;
+  std::uint64_t bits = delivered_ready_[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == delivered_ready_.size()) return -1;
+    bits = delivered_ready_[w];
+  }
+  return static_cast<int>(w * 64) + std::countr_zero(bits);
+}
+
+void Fabric::sync_active(int node) {
+  const auto& ni = nis_[static_cast<std::size_t>(node)];
+  if (!ni.send_queue.empty() || ni.staged_pos < ni.staged_flits.size() ||
+      ni.tracked_active)
+    set_bit(active_nis_, node);
+  else
+    clear_bit(active_nis_, node);
 }
 
 void Fabric::build_staged_flits(NetworkInterface& ni, const Message& msg,
@@ -289,6 +328,7 @@ void Fabric::eject_flit(int node, const Flit& flit) {
       // two; see Message::flit_count).
       stats_.note_packet_delivered(slot.flits, now_ - slot.head_injected_at);
       nis_[static_cast<std::size_t>(node)].delivered.push(std::move(slot.msg));
+      set_bit(delivered_ready_, node);
       slot.flits = 0;
       slot.pid = 0;
       --partial_count_;
@@ -385,6 +425,11 @@ void Fabric::step() {
       }
       want = want_local;
     }
+    // Request mask per output: bit `in` of req[o] is set when input `in`
+    // holds a head flit routed to output o.
+    unsigned req[kDirectionCount] = {0, 0, 0, 0, 0};
+    for (int in = 0; in < kDirectionCount; ++in)
+      if (want[in] >= 0) req[want[in]] |= 1u << in;
     int new_allocations = 0;
     for (int o = 0; o < kDirectionCount; ++o) {
       const bool credit_ok =
@@ -403,21 +448,23 @@ void Fabric::step() {
               PlannedMove{n, owner, static_cast<Direction>(o)});
         continue;
       }
-      if (!credit_ok) continue;
-      // Round-robin over inputs looking for a head flit routed here.
-      const int rr = rr_pointer_[out];
-      for (int k = 1; k <= kDirectionCount; ++k) {
-        int in = rr + k;
-        if (in >= kDirectionCount) in -= kDirectionCount;
-        if (want[in] != o) continue;
-        // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
-        planned_.push_back(PlannedMove{n, in, static_cast<Direction>(o)});
-        owner_input_[out] = static_cast<std::int8_t>(in);
-        owner_packet_[out] = head_packet_[base + static_cast<std::size_t>(in)];
-        rr_pointer_[out] = static_cast<std::int8_t>(in);
-        ++new_allocations;
-        break;
-      }
+      const unsigned mask = req[o];
+      if (!credit_ok || mask == 0) continue;
+      // Round-robin: the first requester after the pointer, in cyclic
+      // order. Rotating the mask right by `first` puts input `first` at
+      // bit 0, so the lowest set bit is the grant.
+      int first = rr_pointer_[out] + 1;
+      if (first == kDirectionCount) first = 0;
+      const unsigned rotated =
+          ((mask >> first) | (mask << (kDirectionCount - first))) & 0x1fu;
+      int in = first + std::countr_zero(rotated);
+      if (in >= kDirectionCount) in -= kDirectionCount;
+      // renoc-lint-allow(hot-alloc): worst case reserved in the ctor
+      planned_.push_back(PlannedMove{n, in, static_cast<Direction>(o)});
+      owner_input_[out] = static_cast<std::int8_t>(in);
+      owner_packet_[out] = head_packet_[base + static_cast<std::size_t>(in)];
+      rr_pointer_[out] = static_cast<std::int8_t>(in);
+      ++new_allocations;
     }
     tiles[n].arbitrations += static_cast<std::uint64_t>(new_allocations);
   }
@@ -468,36 +515,80 @@ void Fabric::step() {
 }
 
 void Fabric::inject_phase() {
-  // renoc-hot-begin (phase 3 runs every cycle over every NI)
-  for (int n = 0; n < node_count(); ++n) {
-    auto& ni = nis_[static_cast<std::size_t>(n)];
-    if (degraded_) {
-      // The delivery guard is NI hardware: timeouts, retransmissions and
-      // notice handling keep running while the PE is halted —
-      // set_injection_enabled gates only the admission of NEW messages
-      // (inside guard_tick), and a wormhole packet cannot be stopped
-      // mid-injection without wedging its grants downstream.
+  // renoc-hot-begin (phase 3 runs every cycle over the active NIs)
+  if (degraded_) {
+    // The delivery guard is NI hardware: timeouts, retransmissions and
+    // notice handling keep running while the PE is halted —
+    // set_injection_enabled gates only the admission of NEW messages
+    // (inside guard_tick), and a wormhole packet cannot be stopped
+    // mid-injection without wedging its grants downstream. Its timers
+    // tick on every live NI, so this path visits them all.
+    for (int n = 0; n < node_count(); ++n) {
       if (router_up_[static_cast<std::size_t>(n)] == 0) continue;
+      auto& ni = nis_[static_cast<std::size_t>(n)];
       guard_tick(n, ni);
-    } else if (!ni.enabled) {
-      continue;
-    } else if (ni.staged_pos >= ni.staged_flits.size()) {
-      stage_next_message(n);
+      inject_flit(n, ni);
+      sync_active(n);
     }
-    if (ni.staged_pos >= ni.staged_flits.size()) continue;
-    if (fifo_size_[port_index(n, kLocal)] >= depth_) continue;
-    push_flit(n, kLocal, ni.staged_flits[ni.staged_pos++]);
-    if (degraded_) ++ni.tracked_flits_in_net;
-    TileActivity& act = stats_.tile(n);
-    ++act.injected_flits;
-    ++act.buffer_writes;
+    return;
   }
+  // Healthy fabric: only NIs with a queued or partly injected message can
+  // act, visited in ascending node order (packet ids are assigned in
+  // staging order). Each visit changes only its own NI, so walking a
+  // snapshot of each mask word is safe.
+  for (std::size_t w = 0; w < active_nis_.size(); ++w) {
+    for (std::uint64_t bits = active_nis_[w]; bits != 0; bits &= bits - 1) {
+      const int n = static_cast<int>(w * 64) + std::countr_zero(bits);
+      auto& ni = nis_[static_cast<std::size_t>(n)];
+      if (!ni.enabled) continue;
+      // An active NI with nothing staged has a queued message.
+      if (ni.staged_pos >= ni.staged_flits.size()) stage_next_message(n);
+      inject_flit(n, ni);
+      if (ni.staged_pos >= ni.staged_flits.size() && ni.send_queue.empty())
+        clear_bit(active_nis_, n);
+    }
+  }
+  // renoc-hot-end
+}
+
+void Fabric::inject_flit(int node, NetworkInterface& ni) {
+  // renoc-hot-begin (at most one flit per NI per cycle)
+  if (ni.staged_pos >= ni.staged_flits.size()) return;
+  if (fifo_size_[port_index(node, kLocal)] >= depth_) return;
+  push_flit(node, kLocal, ni.staged_flits[ni.staged_pos++]);
+  if (degraded_) ++ni.tracked_flits_in_net;
+  TileActivity& act = stats_.tile(node);
+  ++act.injected_flits;
+  ++act.buffer_writes;
   // renoc-hot-end
 }
 
 void Fabric::run(int n) {
   RENOC_CHECK(n >= 0);
   for (int i = 0; i < n; ++i) step();
+}
+
+void Fabric::advance_idle(Cycle n) {
+  RENOC_CHECK_MSG(buffered_flits_ == 0,
+                  "advance_idle needs an idle fabric, but "
+                      << buffered_flits_ << " flits are buffered");
+  RENOC_CHECK_MSG(partial_count_ == 0,
+                  "advance_idle needs an idle fabric, but "
+                      << partial_count_ << " packets are mid-reassembly");
+  RENOC_CHECK_MSG(idle(), "advance_idle needs an idle fabric, but an NI has "
+                          "queued, staged or tracked messages");
+  // Stepping applies an event at the first step whose cycle has reached
+  // it (an event already past applies on the next step), one batch per
+  // step; an idle fabric changes in no other way.
+  const Cycle target = now_ + n;
+  while (degraded_ && next_fault_ < fault_events_.size()) {
+    const Cycle due = std::max(now_ + 1, fault_events_[next_fault_].cycle);
+    if (due > target) break;
+    now_ = due;
+    apply_due_faults();
+  }
+  now_ = target;
+  skipped_cycles_ += n;
 }
 
 int Fabric::drain(int max_cycles) {
@@ -514,15 +605,11 @@ bool Fabric::idle() const {
   // No buffered flit also implies no wormhole grant can be pending (a held
   // grant means a tail flit is still staged or buffered somewhere), and no
   // active reassembly (its tail would be in flight) — so these two counters
-  // plus the NI queues cover the reference engine's full quiescence check.
+  // plus the active-NI set (queued, staged, or tracked-and-unresolved
+  // messages) cover the reference engine's full quiescence check.
   if (buffered_flits_ != 0 || partial_count_ != 0) return false;
-  for (const auto& ni : nis_) {
-    if (!ni.send_queue.empty()) return false;
-    if (ni.staged_pos < ni.staged_flits.size()) return false;
-    // A tracked message awaiting its delivery notice, a timeout, or a
-    // retransmission still owns future work.
-    if (degraded_ && ni.tracked_active) return false;
-  }
+  for (const std::uint64_t word : active_nis_)
+    if (word != 0) return false;
   return true;
 }
 
@@ -824,6 +911,7 @@ void Fabric::purge_stranded_packets() {
       ni.staged_flits.clear();
       ni.staged_pos = 0;
     }
+    sync_active(n);
   }
 }
 

@@ -6,7 +6,16 @@
 //
 //   fabric.send(msg);                  // enqueue at the source NI
 //   fabric.step();                     // advance one clock
-//   while (auto m = fabric.try_receive(node)) { ... }
+//   for (int node = fabric.next_delivered_node(0); node >= 0;
+//        node = fabric.next_delivered_node(node + 1))
+//     while (auto m = fabric.try_receive(node)) { ... }
+//   if (fabric.idle()) fabric.advance_idle(k);  // skip k quiet cycles
+//
+// A driver that knows nothing will happen for k cycles (every PE busy or
+// blocked and the fabric idle) calls advance_idle(k) instead of stepping:
+// it is exactly k step() calls on an idle fabric — now() moves, no
+// counter changes, and on a degraded fabric every fault event due inside
+// the window applies at its own cycle.
 //
 // Cycle semantics (one step() call):
 //   1. Arbitration: every router plans at most one flit move per output
@@ -59,6 +68,26 @@
 // performs zero heap allocations once the workload reaches steady state —
 // bench/micro_noc.cpp asserts this and the bit-exactness against the
 // reference on every run.
+//
+// Two node bitmasks (one bit per node, 64 nodes per word) keep the
+// per-cycle work proportional to activity rather than mesh size:
+//
+//   delivered_ready_  nodes whose delivered ring holds an unread message;
+//                     next_delivered_node() walks it in ascending order,
+//                     so consumers see the same delivery order a full
+//                     0..N-1 poll would, without touching quiet tiles
+//   active_nis_       nodes whose NI has pending work: a queued message,
+//                     a partly injected packet, or (degraded mode) a
+//                     tracked send awaiting resolution. The healthy
+//                     injection phase visits only these NIs (ascending, so
+//                     packet ids are assigned in the same order), and
+//                     idle() reduces to: no buffered flit, no reassembly
+//                     in progress, and an empty set
+//
+// Output allocation builds a 5-bit request mask per output port from the
+// want[] prepass and grants the first requester after the round-robin
+// pointer with a rotate + count-trailing-zeros — the same choice as the
+// reference's five-step scan (Router::arbitrate).
 // --- Degraded-fabric mode ---------------------------------------------------
 //
 // install_fault_plan() / configure_delivery_guard() switch the fabric into
@@ -157,10 +186,22 @@ class Fabric {
   /// Number of delivered-but-unread messages at `node`.
   int delivered_count(int node) const;
 
+  /// Smallest node >= `from` holding a delivered-but-unread message, or -1
+  /// if there is none. `from` may equal node_count().
+  int next_delivered_node(int from) const;
+
   /// Advances the clock by one cycle.
   void step();
   /// Advances `n` cycles.
   void run(int n);
+  /// Equivalent to `n` step() calls on an idle fabric: moves now() by `n`
+  /// and leaves every counter as stepping would; on a degraded fabric each
+  /// fault event due inside the window applies at its own cycle, exactly
+  /// as step() applies it. Throws CheckError unless idle().
+  void advance_idle(Cycle n);
+  /// Cycles advanced by advance_idle() instead of step(), since
+  /// construction (a host-time diagnostic: no simulated effect).
+  Cycle skipped_cycles() const { return skipped_cycles_; }
 
   /// Runs until the network is completely idle (no buffered flits, no
   /// pending injections). Returns the number of cycles stepped. Throws if
@@ -168,6 +209,8 @@ class Fabric {
   int drain(int max_cycles = 1'000'000);
 
   /// True if no flit is buffered or in flight and all NI queues are empty.
+  /// Reads two counters and one word per 64 nodes (see the active-set
+  /// notes above).
   bool idle() const;
 
   /// Enables/disables injection at a node (used to halt PEs during
@@ -288,8 +331,12 @@ class Fabric {
   void push_flit(int node, int port, const Flit& flit);
   void pop_front(int node, std::size_t f);
 
+  /// Re-derives `node`'s active_nis_ bit from its NI state.
+  void sync_active(int node);
+
   void stage_next_message(int node);
   void inject_phase();
+  void inject_flit(int node, NetworkInterface& ni);
   void eject_flit(int node, const Flit& flit);
 
   // Degraded-mode machinery (all cold paths; nothing here is reached when
@@ -308,6 +355,7 @@ class Fabric {
   NocConfig config_;
   int depth_ = 0;  ///< config_.buffer_depth, hoisted for the ring math
   Cycle now_ = 0;
+  Cycle skipped_cycles_ = 0;
   PacketId next_packet_id_ = 1;
 
   // Flat per-fabric router state (layout documented in the header comment).
@@ -346,6 +394,8 @@ class Fabric {
   AlignedVec<int> want_base_adaptive_;
   int buffered_flits_ = 0;          ///< total flits in all FIFOs
   int partial_count_ = 0;           ///< active reassembly slots, all nodes
+  std::vector<std::uint64_t> delivered_ready_;  ///< non-empty delivered rings
+  std::vector<std::uint64_t> active_nis_;       ///< NIs with pending work
 
   std::vector<NetworkInterface> nis_;
   std::vector<ReassemblySlot> slots_;  ///< [dst * N + src]

@@ -161,7 +161,8 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
   int drained = 0;
   while (!fabric.idle()) {
     fabric.step();
-    for (int node = 0; node < fabric.node_count(); ++node)
+    for (int node = fabric.next_delivered_node(0); node >= 0;
+         node = fabric.next_delivered_node(node + 1))
       while (auto msg = fabric.try_receive(node)) {
         ++drain_received;
         fabric.recycle(std::move(*msg));

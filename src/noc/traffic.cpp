@@ -145,7 +145,8 @@ void TrafficGenerator::step() {
     ++messages_sent_;
   }
   fabric_->step();
-  for (int node = 0; node < n; ++node) {
+  for (int node = fabric_->next_delivered_node(0); node >= 0;
+       node = fabric_->next_delivered_node(node + 1)) {
     while (auto msg = fabric_->try_receive(node)) {
       ++messages_received_;
       fabric_->recycle(std::move(*msg));

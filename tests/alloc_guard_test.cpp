@@ -5,7 +5,8 @@
 // MinSumDecoder::decode_into() with a reused result, the full BER block
 // pipeline (data draw through decode_into), a warmed
 // MigrationThermalRuntime::run() at two network sizes, and the sparse
-// steady/transient solve paths. The four micro benches used to be the only
+// steady/transient solve paths. The warmed NoC-mapped decode_block is
+// pinned at one allocation per block (the hard bits it returns). The four micro benches used to be the only
 // enforcement, at bench time, on one load shape each; these suites pin the
 // same invariant in every CI configuration (Debug, Release, every
 // sanitizer build) through util/alloc_guard.
@@ -28,6 +29,8 @@
 #include "ldpc/code.hpp"
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
+#include "ldpc/noc_decoder.hpp"
+#include "ldpc/partition.hpp"
 #include "noc/fabric.hpp"
 #include "thermal/hotspot_params.hpp"
 #include "thermal/rc_network.hpp"
@@ -184,6 +187,40 @@ TEST(EngineAllocTest, WarmedBerBlockPipelineIsAllocationFree) {
   guard.check_zero("warmed BER block pipeline");
   EXPECT_EQ(guard.count(), 0);
   EXPECT_GT(iterations_total, 0);
+}
+
+// A warmed NocLdpcDecoder::decode_block allocates exactly once per block:
+// the hard-decision vector it returns. PE runtime state, the per-phase
+// receive counts (one pre-sized array), message payloads (pool-backed) and
+// the fabric's rings are all reused, so any further allocation here is a
+// regression.
+TEST(EngineAllocTest, WarmedNocDecodeBlockAllocations) {
+  RENOC_REQUIRE_INSTRUMENTED();
+  Rng code_rng(3);
+  const LdpcCode code = LdpcCode::make_regular(240, 3, 6, code_rng);
+  const LdpcEncoder encoder(code);
+  Rng rng(5);
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
+  AwgnChannel channel(2.5, 0.5, rng.split());
+  const auto llrs = quantize_llrs(channel.transmit(encoder.encode(data)));
+
+  NocConfig cfg;
+  cfg.dim = GridDim{4, 4};
+  Fabric fabric(cfg);
+  LdpcNocParams params;
+  params.iterations = 4;
+  NocLdpcDecoder decoder(fabric, code, make_striped_partition(code, 16),
+                         identity_permutation(16), params);
+  // Warm-up: payload buffers circulate through the fabric's LIFO pool, so
+  // it takes several blocks until every buffer has grown to the largest
+  // message size (about ten here; a block then allocates exactly once).
+  for (int b = 0; b < 12; ++b) (void)decoder.decode_block(llrs);
+  constexpr int kBlocks = 4;
+  const AllocGuard guard;
+  for (int b = 0; b < kBlocks; ++b) (void)decoder.decode_block(llrs);
+  EXPECT_EQ(guard.count(), kBlocks) << "one allocation per block expected "
+                                       "(the returned hard_bits)";
 }
 
 /// 4x4-tile die subdivided refine x refine (as RefinedThermalModel builds

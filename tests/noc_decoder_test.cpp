@@ -5,12 +5,14 @@
 
 #include <numeric>
 
+#include "core/chip_config.hpp"
 #include "core/transform.hpp"
 #include "ldpc/channel.hpp"
 #include "ldpc/decoder.hpp"
 #include "ldpc/encoder.hpp"
 #include "ldpc/noc_decoder.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace renoc {
 namespace {
@@ -224,6 +226,67 @@ TEST(NocDecoderTest, RejectsBadPlacements) {
                               LdpcNocParams{}),
                CheckError);
 }
+
+// Every simulated statistic of the full-scale NoC decode, pinned at values
+// recorded before the decode loop became event-driven: skipping idle
+// cycles, ready-set delivery and mask-based arbitration are host-time
+// optimizations and must not move a single count.
+struct DecodePin {
+  const char* config;
+  Cycle cycles_per_block;
+  std::uint64_t tile_hash;  ///< every TileActivity counter of every tile
+  std::uint64_t lat_count;
+  double lat_mean;
+  double lat_min;
+  double lat_max;
+};
+
+std::uint64_t tile_activity_hash(const NetworkStats& stats) {
+  std::uint64_t h = 0x100001b3ULL;
+  for (int t = 0; t < stats.node_count(); ++t) {
+    const TileActivity& a = stats.tile(t);
+    for (std::uint64_t v : {a.buffer_writes, a.buffer_reads,
+                            a.crossbar_traversals, a.arbitrations,
+                            a.link_flits, a.injected_flits, a.ejected_flits,
+                            a.pe_compute_ops, a.pe_state_words})
+      h = mix64(h ^ v);
+  }
+  return h;
+}
+
+class NocDecodePinned : public ::testing::TestWithParam<DecodePin> {};
+
+TEST_P(NocDecodePinned, FullScaleStatisticsAreUnchanged) {
+  const DecodePin& pin = GetParam();
+  const ChipConfig cfg = config_by_name(pin.config);
+  const BuiltChip chip = build_chip(cfg);
+  std::vector<int> placement = identity_permutation(cfg.dim.node_count());
+  placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
+  Fabric fabric(cfg.noc);
+  NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
+                         cfg.ldpc_params);
+  for (int block = 0; block < 2; ++block)
+    EXPECT_EQ(decoder.decode_block(chip.channel_llrs).cycles,
+              pin.cycles_per_block)
+        << "block " << block;
+  EXPECT_EQ(fabric.now(), 2 * pin.cycles_per_block);
+  const NetworkStats& stats = fabric.stats();
+  EXPECT_EQ(tile_activity_hash(stats), pin.tile_hash);
+  EXPECT_EQ(stats.packet_latency().count(), pin.lat_count);
+  EXPECT_EQ(stats.packet_latency().mean(), pin.lat_mean);
+  EXPECT_EQ(stats.packet_latency().min(), pin.lat_min);
+  EXPECT_EQ(stats.packet_latency().max(), pin.lat_max);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConfigsAandE, NocDecodePinned,
+    ::testing::Values(DecodePin{"A", 54103, 5481769116214745883ULL, 14952,
+                                0x1.3879a17d543eap+4, 2.0, 395.0},
+                      DecodePin{"E", 55780, 15686885616382683543ULL, 38016,
+                                0x1.58490cede6249p+4, 4.0, 198.0}),
+    [](const ::testing::TestParamInfo<DecodePin>& param) {
+      return std::string(param.param.config);
+    });
 
 }  // namespace
 }  // namespace renoc

@@ -6,14 +6,19 @@
 //   * the scenario-sweep harness: thread-count invariance and single-
 //     scenario replay (mirroring ber_harness_test);
 //   * the new traffic patterns (bit-reverse, shuffle), fixed-point skip
-//     accounting, and bursty Markov on/off modulation.
+//     accounting, and bursty Markov on/off modulation;
+//   * the event-driven API: advance_idle() against step() on a twin
+//     fabric (healthy and degraded), and the delivery ready set behind
+//     next_delivered_node().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "noc/fabric.hpp"
+#include "noc/fault_model.hpp"
 #include "noc/reference_fabric.hpp"
 #include "noc/sweep_harness.hpp"
 #include "noc/traffic.hpp"
@@ -282,6 +287,218 @@ TEST(FabricRecycling, AcquireSendReceiveRecycleRoundTrip) {
                                                 3u));
     fabric.recycle(std::move(*got));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Event-driven API: advance_idle and the delivery ready set
+// ---------------------------------------------------------------------------
+
+/// Everything observable about a fabric that a cycle skip could disturb.
+struct FabricSnapshot {
+  Cycle now = 0;
+  std::vector<std::vector<std::uint64_t>> tiles;
+  std::uint64_t packets = 0;
+  std::uint64_t flits = 0;
+  std::size_t lat_count = 0;
+  double lat_mean = 0.0;
+  double lat_min = 0.0;
+  double lat_max = 0.0;
+  std::vector<std::uint64_t> guard;  ///< retried/dropped/unreachable/dups
+  int route_epoch = 0;
+  std::vector<bool> routers;
+  std::vector<bool> links;
+
+  bool operator==(const FabricSnapshot&) const = default;
+};
+
+FabricSnapshot snapshot(const Fabric& fabric) {
+  FabricSnapshot s;
+  s.now = fabric.now();
+  const NetworkStats& st = fabric.stats();
+  for (int t = 0; t < fabric.node_count(); ++t) {
+    const TileActivity& a = st.tile(t);
+    s.tiles.push_back({a.buffer_writes, a.buffer_reads, a.crossbar_traversals,
+                       a.arbitrations, a.link_flits, a.injected_flits,
+                       a.ejected_flits, a.pe_compute_ops, a.pe_state_words});
+    s.routers.push_back(fabric.router_alive(t));
+    for (int d = 0; d < 4; ++d) s.links.push_back(fabric.link_alive(t, d));
+  }
+  s.packets = st.packets_delivered();
+  s.flits = st.flits_delivered();
+  s.lat_count = st.packet_latency().count();
+  s.lat_mean = st.packet_latency().mean();
+  s.lat_min = st.packet_latency().min();
+  s.lat_max = st.packet_latency().max();
+  s.guard = {st.packets_retried(), st.packets_dropped(),
+             st.packets_unreachable(), st.duplicates_suppressed()};
+  s.route_epoch = fabric.route_epoch();
+  return s;
+}
+
+/// Sends `count` messages from live sources (deterministic in `salt`),
+/// then steps to idle, collecting every delivery through the ready set.
+std::vector<Delivery> traffic_to_idle(Fabric& fabric, int count, int salt) {
+  const int n = fabric.node_count();
+  for (int i = 0; i < count; ++i) {
+    const int src = (i * 7 + salt) % n;
+    const int dst = (i * 11 + salt * 3 + 1) % n;
+    if (src == dst || !fabric.router_alive(src)) continue;
+    Message m;
+    m.src = src;
+    m.dst = dst;
+    m.tag = static_cast<std::uint64_t>(salt * 1000 + i);
+    m.payload.assign(static_cast<std::size_t>(1 + (i % 5)),
+                     static_cast<std::uint64_t>(i));
+    fabric.send(std::move(m));
+  }
+  std::vector<Delivery> out;
+  for (int guard = 0; !fabric.idle(); ++guard) {
+    EXPECT_LT(guard, 100000) << "fabric failed to drain";
+    if (guard >= 100000) break;
+    fabric.step();
+    for (int node = fabric.next_delivered_node(0); node >= 0;
+         node = fabric.next_delivered_node(node + 1))
+      while (auto got = fabric.try_receive(node))
+        out.emplace_back(fabric.now(), node, got->src, got->tag,
+                         got->payload);
+  }
+  return out;
+}
+
+TEST(AdvanceIdle, EqualsSteppingOnAHealthyFabric) {
+  Fabric skipped(make_config({4, 4}));
+  Fabric stepped(make_config({4, 4}));
+  // Non-trivial pre-state: round-robin pointers, stats, latency history.
+  EXPECT_EQ(traffic_to_idle(skipped, 40, 1), traffic_to_idle(stepped, 40, 1));
+  for (const Cycle n : {Cycle{0}, Cycle{1}, Cycle{37}, Cycle{1000}}) {
+    skipped.advance_idle(n);
+    for (Cycle c = 0; c < n; ++c) stepped.step();
+    EXPECT_EQ(snapshot(skipped), snapshot(stepped)) << "after skipping " << n;
+    EXPECT_TRUE(skipped.idle());
+  }
+  // The next traffic must play out identically: same delivery stream
+  // (cycle, node, source, tag, payload) and the same counters.
+  EXPECT_EQ(traffic_to_idle(skipped, 60, 2), traffic_to_idle(stepped, 60, 2));
+  EXPECT_EQ(snapshot(skipped), snapshot(stepped));
+}
+
+TEST(AdvanceIdle, AppliesFaultEventsInsideTheSkippedWindow) {
+  Fabric skipped(make_config({4, 4}));
+  Fabric stepped(make_config({4, 4}));
+  EXPECT_EQ(traffic_to_idle(skipped, 30, 3), traffic_to_idle(stepped, 30, 3));
+  const Cycle t = skipped.now();
+  ASSERT_GT(t, 2u);
+  FaultPlan plan;
+  using K = FaultEvent::Kind;
+  const int east = static_cast<int>(Direction::kEast);
+  const int west = static_cast<int>(Direction::kWest);
+  plan.events = {
+      {K::kLinkDown, t - 2, 1, east},   // already past: applies at t + 1
+      {K::kLinkDown, t + 9, 6, east},   // two events, one batch
+      {K::kLinkDown, t + 9, 9, west},
+      {K::kRouterDown, t + 20, 15, 0},
+      {K::kLinkUp, t + 45, 1, east},    // flaky link recovers
+      {K::kLinkDown, t + 300, 4, east}, // beyond the first skip
+  };
+  for (Fabric* f : {&skipped, &stepped}) {
+    DeliveryGuardConfig guard;
+    guard.timeout_cycles = 64;
+    f->configure_delivery_guard(guard);
+    f->install_fault_plan(plan);
+  }
+  for (const Cycle n : {Cycle{1}, Cycle{8}, Cycle{1}, Cycle{100}, Cycle{400}}) {
+    skipped.advance_idle(n);
+    for (Cycle c = 0; c < n; ++c) stepped.step();
+    EXPECT_EQ(snapshot(skipped), snapshot(stepped)) << "at cycle "
+                                                    << skipped.now();
+  }
+  // One epoch per applied batch: t+1, t+9, t+20, t+45 and t+300.
+  EXPECT_EQ(skipped.route_epoch(), 5);
+  EXPECT_FALSE(skipped.router_alive(15));
+  EXPECT_TRUE(skipped.link_alive(1, east));
+  EXPECT_FALSE(skipped.link_alive(4, east));
+  // Adaptive routing over the degraded mesh plays out identically too.
+  EXPECT_EQ(traffic_to_idle(skipped, 50, 4), traffic_to_idle(stepped, 50, 4));
+  EXPECT_EQ(snapshot(skipped), snapshot(stepped));
+}
+
+TEST(AdvanceIdle, RejectsABusyFabricNamingTheCause) {
+  const auto cause = [](Fabric& fabric) -> std::string {
+    try {
+      fabric.advance_idle(5);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  Fabric fabric(make_config({4, 4}));
+  Message m;
+  m.src = 0;
+  m.dst = 15;
+  m.payload.assign(6, 1);
+  fabric.send(m);
+  const std::string queued = cause(fabric);
+  EXPECT_NE(queued.find("queued"), std::string::npos) << queued;
+  fabric.run(3);
+  const std::string buffered = cause(fabric);
+  EXPECT_NE(buffered.find("flits are buffered"), std::string::npos)
+      << buffered;
+  EXPECT_EQ(fabric.now(), 3u) << "a rejected skip must not move the clock";
+  fabric.drain();
+  EXPECT_NO_THROW(fabric.advance_idle(5));
+}
+
+TEST(DeliveryReadySet, VisitsExactlyTheNodesHoldingMessagesInOrder) {
+  // 81 nodes: the ready set spans two 64-bit words.
+  Fabric fabric(make_config({9, 9}));
+  const int n = fabric.node_count();
+  for (int i = 0; i < 60; ++i) {
+    Message m;
+    m.src = (i * 13) % n;
+    m.dst = (i * 29 + 5) % n;
+    if (m.src == m.dst) continue;
+    m.payload.assign(static_cast<std::size_t>(1 + i % 3), 7);
+    fabric.send(m);
+  }
+  for (const int dst : {63, 64, 80, 0}) {  // word edges and both ends
+    Message m;
+    m.src = 40;
+    m.dst = dst;
+    fabric.send(m);
+  }
+  fabric.drain();
+  const auto expect_walk_matches_counts = [&] {
+    std::vector<int> expected;
+    for (int node = 0; node < n; ++node)
+      if (fabric.delivered_count(node) > 0) expected.push_back(node);
+    std::vector<int> walked;
+    for (int node = fabric.next_delivered_node(0); node >= 0;
+         node = fabric.next_delivered_node(node + 1))
+      walked.push_back(node);
+    EXPECT_EQ(walked, expected);
+    return expected;
+  };
+  const std::vector<int> ready = expect_walk_matches_counts();
+  ASSERT_GT(ready.size(), 4u);
+  for (const int node : {0, 63, 64, 80})
+    EXPECT_TRUE(std::find(ready.begin(), ready.end(), node) != ready.end())
+        << node;
+  EXPECT_EQ(fabric.next_delivered_node(64), 64);
+  EXPECT_EQ(fabric.next_delivered_node(n), -1);
+  EXPECT_THROW(fabric.next_delivered_node(-1), CheckError);
+  EXPECT_THROW(fabric.next_delivered_node(n + 1), CheckError);
+
+  // Reading a node dry removes it; a partial read keeps it.
+  while (fabric.try_receive(64)) {
+  }
+  while (fabric.try_receive(0)) {
+  }
+  EXPECT_EQ(fabric.next_delivered_node(64), fabric.next_delivered_node(65));
+  expect_walk_matches_counts();
+  for (const int node : ready)
+    while (fabric.try_receive(node)) {
+    }
+  EXPECT_EQ(fabric.next_delivered_node(0), -1);
 }
 
 // ---------------------------------------------------------------------------
