@@ -258,6 +258,7 @@ void write_json(const std::string& path, bool smoke,
   json.begin_object();
   json.key("bench").string("micro_runtime");
   json.key("smoke").boolean(smoke);
+  bench::write_machine_json(json);
   json.key("cosim").begin_array();
   for (const CosimRow& r : cosim) {
     json.begin_object();

@@ -21,7 +21,9 @@
 # uninterrupted, then sharded with an injected mid-run crash (supervisor
 # retries the dead shard and resumes from its checkpoint segments), and
 # renoc_golden_diff must find the two artifacts identical outside the
-# run-specific "driver" block.
+# run-specific "driver" block; the same drill then runs on the batched BER
+# sweep (2 shards, segments of 5 inside 16-block claims) against its
+# 1-shard artifact.
 # Usage: scripts/check.sh [--skip-bench-smoke] [--sanitize=<kind>]
 #                         [extra cmake args...]
 # (flags may appear in any argument position)
@@ -127,6 +129,18 @@ for config in Debug Release; do
     "${build_dir}/tools/renoc_golden_diff" --skip driver \
       "${build_dir}/SWEEP_noc_baseline.json" \
       "${build_dir}/SWEEP_noc_crashed.json"
+    # The batched ber runner: segments of 5 end inside 16-block claims.
+    rm -rf "${build_dir}/ckpt-check-ber1" "${build_dir}/ckpt-check-ber-crash"
+    "${build_dir}/tools/renoc_sweep" --harness ber --preset smoke \
+      --shards 1 --ckpt-dir "${build_dir}/ckpt-check-ber1" \
+      --out "${build_dir}/SWEEP_ber_1shard.json"
+    "${build_dir}/tools/renoc_sweep" --harness ber --preset smoke \
+      --shards 2 --checkpoint-every 5 --inject-crash 0:1 \
+      --ckpt-dir "${build_dir}/ckpt-check-ber-crash" \
+      --out "${build_dir}/SWEEP_ber_crashed.json"
+    "${build_dir}/tools/renoc_golden_diff" --skip driver \
+      "${build_dir}/SWEEP_ber_1shard.json" \
+      "${build_dir}/SWEEP_ber_crashed.json"
     echo "== ${config}: paper figures (smoke) vs goldens/ =="
     for entry in "${paper_benches[@]}"; do
       name="${entry%%:*}"

@@ -1,6 +1,8 @@
 #include "core/experiment_sweep.hpp"
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "thermal/grid_refine.hpp"
 #include "util/check.hpp"
@@ -187,26 +189,6 @@ ExperimentSweepPoint run_experiment_scenario(
   return point;
 }
 
-std::vector<ExperimentSweepPoint> run_experiment_sweep(
-    const ExperimentSweepConfig& cfg) {
-  cfg.validate();
-  const std::vector<ExperimentScenario> grid = cfg.scenarios();
-  std::vector<ExperimentSweepPoint> results(grid.size());
-
-  // Scenario-level parallelism via the shared sweep pool: each scenario is
-  // co-simulated end to end by one worker into its preassigned slot, so
-  // the merge is the identity and any schedule yields identical results.
-  // The pool captures a scenario failure (e.g. a singular factorization
-  // from a pathological config) and rethrows it after the join.
-  sweep::parallel_for_scenarios(
-      static_cast<std::int64_t>(grid.size()), cfg.threads,
-      [&](std::int64_t i) {
-        results[static_cast<std::size_t>(i)] = run_experiment_scenario(
-            grid[static_cast<std::size_t>(i)], cfg, static_cast<int>(i));
-      });
-  return results;
-}
-
 namespace {
 
 // Record layout for the sweep service: counts as raw words, temperatures
@@ -274,8 +256,11 @@ sweep::SweepSpec make_experiment_sweep_spec(
   digest.fold_real(cfg.hotspot.r_convec);
   spec.config_digest = digest.digest();
 
-  spec.make_runner = [&cfg, grid]() {
-    return [&cfg, grid](std::int64_t scenario, std::uint64_t* words) {
+  spec.make_runner = [&cfg, grid]() -> sweep::SweepRunner {
+    // Claim width 1: one scenario per call.
+    return [&cfg, grid](std::span<const std::int64_t> scenarios,
+                        std::uint64_t* words) {
+      const std::int64_t scenario = scenarios[0];
       const ExperimentSweepPoint p = run_experiment_scenario(
           (*grid)[static_cast<std::size_t>(scenario)], cfg,
           static_cast<int>(scenario));
@@ -317,6 +302,21 @@ ExperimentSweepPoint experiment_point_from_record(
   p.orbits_run = static_cast<int>(rec.words[kOrbitsRun]);
   p.converged = rec.words[kConverged] != 0;
   return p;
+}
+
+std::vector<ExperimentSweepPoint> run_experiment_sweep(
+    const ExperimentSweepConfig& cfg) {
+  const sweep::SweepSpec spec = make_experiment_sweep_spec(cfg);
+  const std::vector<ExperimentScenario> grid = cfg.scenarios();
+  sweep::ShardRunOptions opts;
+  opts.threads = cfg.threads;
+  std::vector<ExperimentSweepPoint> out;
+  out.reserve(grid.size());
+  for (const sweep::ScenarioRecord& rec :
+       sweep::run_sweep_shard(spec, opts).records)
+    out.push_back(experiment_point_from_record(
+        grid[static_cast<std::size_t>(rec.scenario)], rec));
+  return out;
 }
 
 }  // namespace renoc

@@ -1,22 +1,25 @@
 // Multithreaded thermal co-simulation scenario sweep.
 //
 // Scheme-study characterization over a grid of {migration scheme, period,
-// power scale, grid refinement} scenarios, spread over std::thread
-// workers. Mirrors the determinism design of ldpc/ber_harness and
+// power scale, grid refinement} scenarios. The sweep is one util/sweep
+// spec (make_experiment_sweep_spec): one scenario per grid cell, a 10-word
+// record per scenario. run_experiment_sweep() runs that spec in process
+// (one shard, no checkpoint, cfg.threads workers) and decodes the
+// records; tools/renoc_sweep runs the same spec sharded and checkpointed.
+// Mirrors the determinism design of ldpc/ber_harness and
 // noc/sweep_harness:
 //
 //   - every scenario gets its own RNG stream (used for the per-tile power
 //     jitter that diversifies the workload maps), derived statelessly
 //     from (config seed, scenario index) by a SplitMix64 chain — never
-//     from the worker that happens to run it;
-//   - workers pull scenario indices from a shared atomic cursor and each
-//     scenario is co-simulated end to end by exactly one worker, writing
-//     its ExperimentSweepPoint into a preassigned slot;
+//     from the worker or shard that happens to run it;
+//   - each scenario is co-simulated end to end by exactly one runner call
+//     into its own record, keyed by scenario index;
 //   - no cross-scenario state exists (each scenario owns its refined RC
 //     network, factorizations, and runtime), so the result vector is
-//     bit-identical for any thread count, and any single cell can be
-//     replayed in isolation with run_experiment_scenario() in O(1) —
-//     without re-simulating the grid before it.
+//     bit-identical for any thread count or shard split, and any single
+//     cell can be replayed in isolation with run_experiment_scenario() in
+//     O(1) — without re-simulating the grid before it.
 //
 // Methodology per scenario: build the jittered, scaled per-tile power
 // map, refine the thermal grid, lift the scheme's orbit to the fine grid,
@@ -98,7 +101,9 @@ struct ExperimentSweepPoint {
   bool converged = false;
 };
 
-/// Runs the sweep; returns one ExperimentSweepPoint per scenario in
+/// Runs the sweep in process (make_experiment_sweep_spec, one
+/// run_sweep_shard call with cfg.threads workers, the first scenario error
+/// rethrown) and returns one ExperimentSweepPoint per scenario in
 /// scenarios() order, independent of cfg.threads.
 std::vector<ExperimentSweepPoint> run_experiment_sweep(
     const ExperimentSweepConfig& cfg);
@@ -121,15 +126,15 @@ ExperimentSweepPoint run_experiment_scenario(
     const ExperimentScenario& scenario, const ExperimentSweepConfig& cfg,
     int scenario_index);
 
-/// Sweep-service spec for the same sweep: one scenario per grid cell in
+/// The sweep as a util/sweep spec: one scenario per grid cell in
 /// scenarios() order, 10-word records (counts raw, temperatures as
-/// pack_double bit patterns). Results are bit-identical to
-/// run_experiment_sweep's for any shard split or resume schedule. `cfg`
+/// pack_double bit patterns), claim width 1. Any shard split or resume
+/// schedule decodes to run_experiment_sweep()'s points exactly. `cfg`
 /// must outlive the spec.
 sweep::SweepSpec make_experiment_sweep_spec(const ExperimentSweepConfig& cfg);
 
-/// Decodes a kCompleted service record back into the ExperimentSweepPoint
-/// run_experiment_sweep would have produced for that scenario.
+/// Decodes a kCompleted record back into the scenario's
+/// ExperimentSweepPoint.
 ExperimentSweepPoint experiment_point_from_record(
     const ExperimentScenario& scenario, const sweep::ScenarioRecord& rec);
 

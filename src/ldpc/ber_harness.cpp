@@ -1,8 +1,8 @@
 #include "ldpc/ber_harness.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "ldpc/channel.hpp"
 #include "ldpc/decoder.hpp"
@@ -35,9 +35,8 @@ Rng ber_block_rng(std::uint64_t seed, int point, int block) {
 namespace {
 
 // One worker's block generator: the job grid plus reusable buffers for
-// every stage of a block, so a warmed generate() allocates nothing. All
-// three BER paths (run_ber_sweep's scalar and batch workers and the
-// sweep-service runner) regenerate blocks through this one class.
+// every stage of a block, so a warmed generate() allocates nothing. The
+// spec runner (the only BER decode path) regenerates blocks through it.
 class BlockSource {
  public:
   BlockSource(const LdpcEncoder& encoder, const BerConfig& cfg)
@@ -53,7 +52,7 @@ class BlockSource {
   /// channel LLRs `llrs` — from the job's own stateless stream, and returns
   /// its sweep point. The job space is the row-major {points, blocks}
   /// grid, so the stream a block sees depends only on its (point, block)
-  /// coordinates, never on which worker (or batch lane) runs it.
+  /// coordinates, never on which worker, claim, or batch lane runs it.
   int generate(std::int64_t job, std::vector<std::uint8_t>& cw,
                std::vector<std::int16_t>& llrs) {
     sweep::decode_scenario_index(job, shape_, digits_);
@@ -89,121 +88,6 @@ std::int64_t count_bit_errors(const std::vector<std::uint8_t>& cw,
   return errs;
 }
 
-}  // namespace
-
-std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
-                                    const LdpcEncoder& encoder,
-                                    const BerConfig& cfg) {
-  cfg.validate();
-  RENOC_CHECK_MSG(encoder.n() == code.n(), "encoder does not match code");
-
-  const int points = static_cast<int>(cfg.ebn0_db.size());
-  const std::int64_t total_jobs =
-      static_cast<std::int64_t>(points) *
-      static_cast<std::int64_t>(cfg.blocks_per_point);
-  std::atomic<std::int64_t> cursor{0};
-
-  const auto accumulate = [&code](BerPoint& pt,
-                                  const std::vector<std::uint8_t>& cw,
-                                  const DecodeResult& result) {
-    const std::int64_t errs = count_bit_errors(cw, result);
-    ++pt.blocks;
-    pt.bits += code.n();
-    pt.bit_errors += errs;
-    pt.block_errors += errs > 0;
-    pt.iterations_total += result.iterations_run;
-  };
-
-  // Each worker decodes with a private decoder/result (decoder workspaces
-  // are single-threaded) and counts into a private accumulator; the merge
-  // below is a plain sum, so any schedule yields identical totals.
-  auto worker = [&](std::vector<BerPoint>& acc) {
-    acc.assign(static_cast<std::size_t>(points), BerPoint{});
-    const MinSumDecoder decoder(code, cfg.iterations, cfg.early_exit);
-    BlockSource source(encoder, cfg);
-    DecodeResult result;
-    std::vector<std::uint8_t> cw;
-    std::vector<std::int16_t> llrs;
-    for (;;) {
-      const std::int64_t job = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (job >= total_jobs) break;
-      const int p = source.generate(job, cw, llrs);
-      decoder.decode_into(llrs, result);
-      accumulate(acc[static_cast<std::size_t>(p)], cw, result);
-    }
-  };
-
-  // Batched worker: grabs batch_size consecutive jobs per cursor bump and
-  // streams them lane-per-codeword through the batch decoder. Lanes are
-  // fully independent (a batch may even straddle an Eb/N0-point boundary)
-  // and each is bit-identical to a scalar decode, so the merged counts
-  // match the batch_size=1 path exactly at any thread count.
-  auto batch_worker = [&](std::vector<BerPoint>& acc) {
-    acc.assign(static_cast<std::size_t>(points), BerPoint{});
-    const int cap = cfg.batch_size;
-    const MinSumBatchDecoder decoder(code, cfg.iterations, cfg.early_exit,
-                                     cap);
-    BlockSource source(encoder, cfg);
-    const std::size_t capz = static_cast<std::size_t>(cap);
-    std::vector<DecodeResult> results(capz);
-    std::vector<std::vector<std::uint8_t>> cws(capz);
-    std::vector<std::vector<std::int16_t>> llrs(capz);
-    std::vector<const std::int16_t*> llr_ptrs(capz);
-    std::vector<int> lane_point(capz);
-    for (;;) {
-      const std::int64_t first =
-          cursor.fetch_add(cap, std::memory_order_relaxed);
-      if (first >= total_jobs) break;
-      const int run = static_cast<int>(
-          std::min<std::int64_t>(cap, total_jobs - first));
-      for (int b = 0; b < run; ++b) {
-        const std::size_t bz = static_cast<std::size_t>(b);
-        lane_point[bz] = source.generate(first + b, cws[bz], llrs[bz]);
-        llr_ptrs[bz] = llrs[bz].data();
-      }
-      decoder.decode_batch_into(llr_ptrs.data(), run, results.data());
-      for (int b = 0; b < run; ++b) {
-        const std::size_t bz = static_cast<std::size_t>(b);
-        accumulate(acc[static_cast<std::size_t>(lane_point[bz])], cws[bz],
-                   results[bz]);
-      }
-    }
-  };
-
-  const auto run_one = [&](std::vector<BerPoint>& acc) {
-    if (cfg.batch_size > 1) {
-      batch_worker(acc);
-    } else {
-      worker(acc);
-    }
-  };
-
-  const int workers = sweep::clamp_workers(cfg.threads, total_jobs);
-  std::vector<std::vector<BerPoint>> partial(
-      static_cast<std::size_t>(workers));
-  sweep::run_workers(workers, [&run_one, &partial](int w) {
-    run_one(partial[static_cast<std::size_t>(w)]);
-  });
-
-  std::vector<BerPoint> out(static_cast<std::size_t>(points));
-  for (int p = 0; p < points; ++p)
-    out[static_cast<std::size_t>(p)].ebn0_db =
-        cfg.ebn0_db[static_cast<std::size_t>(p)];
-  for (const std::vector<BerPoint>& acc : partial)
-    for (int p = 0; p < points; ++p) {
-      BerPoint& dst = out[static_cast<std::size_t>(p)];
-      const BerPoint& src = acc[static_cast<std::size_t>(p)];
-      dst.blocks += src.blocks;
-      dst.bits += src.bits;
-      dst.bit_errors += src.bit_errors;
-      dst.block_errors += src.block_errors;
-      dst.iterations_total += src.iterations_total;
-    }
-  return out;
-}
-
-namespace {
-
 // Service-record layout: one record per (point, block) job.
 enum BerWord { kBits = 0, kBitErrors, kBlockError, kIterationsRun };
 constexpr int kBerRecordWords = 4;
@@ -220,6 +104,7 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
   spec.enumerated = static_cast<std::int64_t>(cfg.ebn0_db.size()) *
                     static_cast<std::int64_t>(cfg.blocks_per_point);
   spec.record_words = kBerRecordWords;
+  spec.claim_width = cfg.batch_size;
   // Everything that determines a block's decode result goes into the
   // fingerprint; thread and batch counts are excluded because the counts
   // are invariant in both (pinned by ber_harness_test and the bench).
@@ -239,31 +124,58 @@ sweep::SweepSpec make_ber_sweep_spec(const LdpcCode& code,
   for (const double ebn0 : cfg.ebn0_db) digest.fold_real(ebn0);
   spec.config_digest = digest.digest();
 
-  spec.make_runner = [&code, &encoder, &cfg]() {
-    // Per-worker setup hoisting: decoder workspace and block buffers are
-    // built once per worker, exactly like run_ber_sweep's workers.
+  const int width = spec.claim_width;
+  spec.make_runner = [&code, &encoder, &cfg, width]() -> sweep::SweepRunner {
+    // Per-worker setup hoisting: decoders, the block source and one set of
+    // block buffers per lane are built once per worker.
     struct WorkerState {
       MinSumDecoder decoder;
+      std::optional<MinSumBatchDecoder> batch;
       BlockSource source;
-      DecodeResult result;
-      std::vector<std::uint8_t> cw;
-      std::vector<std::int16_t> llrs;
+      std::vector<DecodeResult> results;
+      std::vector<std::vector<std::uint8_t>> cws;
+      std::vector<std::vector<std::int16_t>> llrs;
+      std::vector<const std::int16_t*> llr_ptrs;
 
       WorkerState(const LdpcCode& c, const LdpcEncoder& e,
-                  const BerConfig& b)
-          : decoder(c, b.iterations, b.early_exit), source(e, b) {}
+                  const BerConfig& b, int lanes)
+          : decoder(c, b.iterations, b.early_exit),
+            source(e, b),
+            results(static_cast<std::size_t>(lanes)),
+            cws(static_cast<std::size_t>(lanes)),
+            llrs(static_cast<std::size_t>(lanes)),
+            llr_ptrs(static_cast<std::size_t>(lanes)) {
+        if (lanes > 1) batch.emplace(c, b.iterations, b.early_exit, lanes);
+      }
     };
-    auto state = std::make_shared<WorkerState>(code, encoder, cfg);
-    return [state, &code](std::int64_t scenario, std::uint64_t* words) {
+    auto state = std::make_shared<WorkerState>(code, encoder, cfg, width);
+    return [state, &code](std::span<const std::int64_t> scenarios,
+                          std::uint64_t* words) {
       WorkerState& ws = *state;
-      ws.source.generate(scenario, ws.cw, ws.llrs);
-      ws.decoder.decode_into(ws.llrs, ws.result);
-      const std::int64_t errs = count_bit_errors(ws.cw, ws.result);
-      words[kBits] = static_cast<std::uint64_t>(code.n());
-      words[kBitErrors] = static_cast<std::uint64_t>(errs);
-      words[kBlockError] = errs > 0 ? 1 : 0;
-      words[kIterationsRun] =
-          static_cast<std::uint64_t>(ws.result.iterations_run);
+      const std::size_t lanes = scenarios.size();
+      for (std::size_t b = 0; b < lanes; ++b) {
+        ws.source.generate(scenarios[b], ws.cws[b], ws.llrs[b]);
+        ws.llr_ptrs[b] = ws.llrs[b].data();
+      }
+      // A claim wider than one streams lane-per-codeword through the batch
+      // decoder; every lane is bit-identical to a scalar decode, so the
+      // records do not depend on the claim width.
+      if (lanes > 1) {
+        ws.batch->decode_batch_into(ws.llr_ptrs.data(),
+                                    static_cast<int>(lanes),
+                                    ws.results.data());
+      } else {
+        ws.decoder.decode_into(ws.llrs[0], ws.results[0]);
+      }
+      for (std::size_t b = 0; b < lanes; ++b) {
+        const std::int64_t errs = count_bit_errors(ws.cws[b], ws.results[b]);
+        std::uint64_t* rec = words + b * std::size_t{kBerRecordWords};
+        rec[kBits] = static_cast<std::uint64_t>(code.n());
+        rec[kBitErrors] = static_cast<std::uint64_t>(errs);
+        rec[kBlockError] = errs > 0 ? 1 : 0;
+        rec[kIterationsRun] =
+            static_cast<std::uint64_t>(ws.results[b].iterations_run);
+      }
     };
   };
   return spec;
@@ -293,6 +205,16 @@ std::vector<BerPoint> ber_points_from_records(
         static_cast<std::int64_t>(rec.words[kIterationsRun]);
   }
   return out;
+}
+
+std::vector<BerPoint> run_ber_sweep(const LdpcCode& code,
+                                    const LdpcEncoder& encoder,
+                                    const BerConfig& cfg) {
+  const sweep::SweepSpec spec = make_ber_sweep_spec(code, encoder, cfg);
+  sweep::ShardRunOptions opts;
+  opts.threads = cfg.threads;
+  return ber_points_from_records(cfg,
+                                 sweep::run_sweep_shard(spec, opts).records);
 }
 
 }  // namespace renoc

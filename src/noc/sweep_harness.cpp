@@ -1,6 +1,8 @@
 #include "noc/sweep_harness.hpp"
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -200,26 +202,6 @@ SweepPoint run_noc_scenario(const SweepScenario& scenario,
   return point;
 }
 
-std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg) {
-  cfg.validate();
-  const std::vector<SweepScenario> grid = cfg.scenarios();
-  std::vector<SweepPoint> results(grid.size());
-
-  // Scenario-level parallelism (util/sweep): each scenario is simulated
-  // end to end by one worker into its preassigned slot, so the merge is
-  // the identity and any schedule yields identical results; the first
-  // scenario failure (e.g. drain timeout) aborts the rest and is rethrown
-  // after the join.
-  sweep::parallel_for_scenarios(
-      static_cast<std::int64_t>(grid.size()), cfg.threads,
-      [&](std::int64_t i) {
-        results[static_cast<std::size_t>(i)] =
-            run_noc_scenario(grid[static_cast<std::size_t>(i)], cfg,
-                             static_cast<int>(i));
-      });
-  return results;
-}
-
 namespace {
 
 // Service-record layout: one 16-word record per grid cell.
@@ -274,8 +256,11 @@ sweep::SweepSpec make_noc_sweep_spec(const SweepConfig& cfg) {
       .fold_int(cfg.drain_max_cycles);
   spec.config_digest = digest.digest();
 
-  spec.make_runner = [grid, &cfg]() {
-    return [grid, &cfg](std::int64_t scenario, std::uint64_t* words) {
+  spec.make_runner = [grid, &cfg]() -> sweep::SweepRunner {
+    // Claim width 1: one scenario per call.
+    return [grid, &cfg](std::span<const std::int64_t> scenarios,
+                        std::uint64_t* words) {
+      const std::int64_t scenario = scenarios[0];
       const SweepPoint point = run_noc_scenario(
           (*grid)[static_cast<std::size_t>(scenario)], cfg,
           static_cast<int>(scenario));
@@ -328,6 +313,20 @@ SweepPoint noc_point_from_record(const SweepScenario& scenario,
   point.duplicates_suppressed = rec.words[kDuplicatesSuppressed];
   point.route_epochs = static_cast<int>(rec.words[kRouteEpochs]);
   return point;
+}
+
+std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg) {
+  const sweep::SweepSpec spec = make_noc_sweep_spec(cfg);
+  const std::vector<SweepScenario> grid = cfg.scenarios();
+  sweep::ShardRunOptions opts;
+  opts.threads = cfg.threads;
+  std::vector<SweepPoint> out;
+  out.reserve(grid.size());
+  for (const sweep::ScenarioRecord& rec :
+       sweep::run_sweep_shard(spec, opts).records)
+    out.push_back(noc_point_from_record(
+        grid[static_cast<std::size_t>(rec.scenario)], rec));
+  return out;
 }
 
 }  // namespace renoc

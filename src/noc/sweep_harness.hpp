@@ -1,18 +1,21 @@
 // Multithreaded NoC scenario-sweep harness.
 //
 // Latency/throughput characterization over a grid of {traffic pattern,
-// mesh size, injection rate, message length} scenarios, spread over
-// std::thread workers. Mirrors ldpc/ber_harness's determinism design:
+// mesh size, injection rate, message length, fault} scenarios. The sweep
+// is one util/sweep spec (make_noc_sweep_spec): one scenario per grid
+// cell, a 16-word record per scenario. run_noc_sweep() runs that spec in
+// process (one shard, no checkpoint, cfg.threads workers) and decodes the
+// records; tools/renoc_sweep runs the same spec sharded and checkpointed.
+// Mirrors ldpc/ber_harness's determinism design:
 //
 //   - every scenario gets its own RNG stream, derived statelessly from
 //     (config seed, scenario index) by a SplitMix64 chain — never from the
-//     worker that happens to run it;
-//   - workers pull scenario indices from a shared atomic cursor and each
-//     scenario is simulated end to end by exactly one worker, writing its
-//     SweepPoint into a preassigned slot;
+//     worker or shard that happens to run it;
+//   - each scenario is simulated end to end by exactly one runner call
+//     into its own record, keyed by scenario index;
 //   - no cross-scenario state exists, so the result vector is bit-identical
-//     for any thread count, and any single scenario can be replayed in
-//     isolation with run_noc_scenario().
+//     for any thread count or shard split, and any single scenario can be
+//     replayed in isolation with run_noc_scenario().
 //
 // Methodology per scenario: warm up, clear the stats, measure for a fixed
 // window, then drain so every measured packet's latency is recorded.
@@ -114,8 +117,10 @@ struct SweepPoint {
   int route_epochs = 0;  ///< topology-change epochs over the whole run
 };
 
-/// Runs the sweep; returns one SweepPoint per scenario in scenarios()
-/// order, independent of cfg.threads.
+/// Runs the sweep in process (make_noc_sweep_spec, one run_sweep_shard
+/// call with cfg.threads workers, the first scenario error rethrown) and
+/// returns one SweepPoint per scenario in scenarios() order, independent
+/// of cfg.threads.
 std::vector<SweepPoint> run_noc_sweep(const SweepConfig& cfg);
 
 /// The RNG stream scenario `scenario_index` uses — exposed so tests and
@@ -129,15 +134,14 @@ Rng sweep_scenario_rng(std::uint64_t seed, int scenario_index);
 SweepPoint run_noc_scenario(const SweepScenario& scenario,
                             const SweepConfig& cfg, int scenario_index);
 
-/// Sweep-service spec for the same sweep: one scenario per grid cell in
+/// The sweep as a util/sweep spec: one scenario per grid cell in
 /// scenarios() order, 16-word records (counts raw, rates/latencies as
-/// pack_double bit patterns). Results are bit-identical to
-/// run_noc_sweep's for any shard split or resume schedule. `cfg` must
+/// pack_double bit patterns), claim width 1. Any shard split or resume
+/// schedule decodes to run_noc_sweep()'s points exactly. `cfg` must
 /// outlive the spec.
 sweep::SweepSpec make_noc_sweep_spec(const SweepConfig& cfg);
 
-/// Decodes a kCompleted service record back into the SweepPoint
-/// run_noc_sweep would have produced for that scenario.
+/// Decodes a kCompleted record back into the scenario's SweepPoint.
 SweepPoint noc_point_from_record(const SweepScenario& scenario,
                                  const sweep::ScenarioRecord& rec);
 

@@ -98,31 +98,6 @@ void run_workers(int workers, const std::function<void(int)>& body) {
   for (std::thread& t : pool) t.join();
 }
 
-void parallel_for_scenarios(std::int64_t count, int threads,
-                            const std::function<void(std::int64_t)>& body) {
-  RENOC_CHECK(count >= 0);
-  std::atomic<std::int64_t> cursor{0};
-  std::atomic<bool> abort{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto worker = [&](int) {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) break;
-      const std::int64_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  run_workers(clamp_workers(threads, count), worker);
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 // ---------------------------------------------------------------------------
 // Shards, records, digests
 // ---------------------------------------------------------------------------
@@ -176,6 +151,8 @@ void SweepSpec::validate() const {
   RENOC_CHECK_MSG(enumerated >= 0, "sweep enumerates a negative count");
   RENOC_CHECK_MSG(record_words >= 1,
                   "sweep records need at least one word, got " << record_words);
+  RENOC_CHECK_MSG(claim_width >= 1,
+                  "sweep claim width must be >= 1, got " << claim_width);
   RENOC_CHECK_MSG(static_cast<bool>(make_runner),
                   "sweep spec has no runner factory");
 }
@@ -491,11 +468,19 @@ ShardRunResult run_sweep_shard(const SweepSpec& spec,
     }
   }
 
-  // Resume re-enumerates only the missing scenarios.
+  // Resume re-enumerates only the missing scenarios. Their payloads are
+  // sized here, on the calling thread, so workers copy results in without
+  // allocating: small records allocated between scenarios inside the
+  // workers' malloc arenas fragment them and raised the thermal sweep's
+  // peak RSS by about 8%.
   std::vector<std::int64_t> todo;
   todo.reserve(static_cast<std::size_t>(owned));
-  for (std::int64_t pos = 0; pos < owned; ++pos)
-    if (!have[static_cast<std::size_t>(pos)]) todo.push_back(pos);
+  for (std::int64_t pos = 0; pos < owned; ++pos) {
+    if (have[static_cast<std::size_t>(pos)]) continue;
+    todo.push_back(pos);
+    slots[static_cast<std::size_t>(pos)].words.resize(
+        static_cast<std::size_t>(spec.record_words));
+  }
   const std::int64_t jobs = static_cast<std::int64_t>(todo.size());
 
   std::atomic<std::int64_t> cursor{0};
@@ -503,8 +488,9 @@ ShardRunResult run_sweep_shard(const SweepSpec& spec,
   std::atomic<bool> stopped{false};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  // done[j] flips (release) after slots[todo[j]] is fully written, so the
-  // flusher's acquire loads see complete records.
+  // done[j] flips (release) once the claim holding todo position j has
+  // finished and slots[todo[j]] is fully written, so the flusher's acquire
+  // loads see complete records and the frontier advances per scenario.
   std::vector<std::atomic<char>> done(static_cast<std::size_t>(jobs));
 
   // Checkpoint flushing: under flush_mutex, advance the frontier over the
@@ -544,28 +530,38 @@ ShardRunResult run_sweep_shard(const SweepSpec& spec,
     }
   };
 
+  const std::int64_t width = spec.claim_width;
+  const std::size_t record_words = static_cast<std::size_t>(spec.record_words);
   const auto worker = [&](int) {
     // Per-worker setup hoisting: the runner factory builds decoders,
     // fabrics, and scratch buffers once, outside the per-scenario path.
-    const auto runner = spec.make_runner();
-    std::vector<std::uint64_t> words(
-        static_cast<std::size_t>(spec.record_words));
+    const SweepRunner runner = spec.make_runner();
+    std::vector<std::int64_t> scenarios(static_cast<std::size_t>(width));
+    std::vector<std::uint64_t> words(static_cast<std::size_t>(width) *
+                                     record_words);
     for (;;) {
       if (abort.load(std::memory_order_relaxed)) break;
-      const std::int64_t j = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (j >= jobs) break;
-      if (opts.stop_after >= 0 && j >= opts.stop_after) {
+      // One claim: todo positions [first, end), run in one runner call.
+      const std::int64_t first =
+          cursor.fetch_add(width, std::memory_order_relaxed);
+      if (first >= jobs) break;
+      std::int64_t end = std::min(first + width, jobs);
+      if (opts.stop_after >= 0 && end > opts.stop_after) {
+        // Truncate the claim at the stop point, so a kill lands on the
+        // same scenario boundary at every claim width.
         stopped.store(true, std::memory_order_relaxed);
         abort.store(true, std::memory_order_relaxed);
-        break;
+        end = std::max(first, opts.stop_after);
+        if (end == first) break;
       }
-      const std::int64_t pos = todo[static_cast<std::size_t>(j)];
-      ScenarioRecord rec;
-      rec.scenario = shard.owned_at(pos);
-      rec.outcome = Outcome::kCompleted;
+      const std::size_t count = static_cast<std::size_t>(end - first);
+      for (std::size_t k = 0; k < count; ++k)
+        scenarios[k] = shard.owned_at(
+            todo[static_cast<std::size_t>(first) + k]);
+      Outcome outcome = Outcome::kCompleted;
       try {
-        runner(rec.scenario, words.data());
-        rec.words.assign(words.begin(), words.end());
+        runner(std::span<const std::int64_t>(scenarios.data(), count),
+               words.data());
       } catch (...) {
         if (!opts.capture_failures) {
           const std::lock_guard<std::mutex> lock(error_mutex);
@@ -573,18 +569,32 @@ ShardRunResult run_sweep_shard(const SweepSpec& spec,
           abort.store(true, std::memory_order_relaxed);
           break;
         }
-        rec.outcome = Outcome::kFailed;
-        rec.words.clear();
+        // The runner cannot say which scenario threw, so the whole claim
+        // fails (only BER claims are wider than one, and a BER block
+        // cannot throw).
+        outcome = Outcome::kFailed;
       }
-      slots[static_cast<std::size_t>(pos)] = std::move(rec);
-      done[static_cast<std::size_t>(j)].store(1, std::memory_order_release);
+      for (std::size_t k = 0; k < count; ++k) {
+        ScenarioRecord& rec = slots[static_cast<std::size_t>(
+            todo[static_cast<std::size_t>(first) + k])];
+        rec.scenario = scenarios[k];
+        rec.outcome = outcome;
+        if (outcome == Outcome::kCompleted) {
+          const std::uint64_t* from = words.data() + k * record_words;
+          std::copy(from, from + record_words, rec.words.begin());
+        } else {
+          rec.words.clear();
+        }
+      }
+      for (std::int64_t j = first; j < end; ++j)
+        done[static_cast<std::size_t>(j)].store(1, std::memory_order_release);
       if (opts.checkpoint.enabled()) {
         const std::lock_guard<std::mutex> lock(flush_mutex);
         flush_ready(/*final=*/false);
       }
     }
   };
-  run_workers(clamp_workers(opts.threads, std::max<std::int64_t>(jobs, 1)),
+  run_workers(clamp_workers(opts.threads, (jobs + width - 1) / width),
               worker);
   if (first_error) std::rethrow_exception(first_error);
 

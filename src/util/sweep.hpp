@@ -1,21 +1,27 @@
-// Crash-safe sweep service: the one orchestration layer behind the repo's
-// three Monte-Carlo/scenario harnesses (ldpc/ber_harness, noc/sweep_harness,
+// Sweep service: the one scenario execution path behind the repo's three
+// Monte-Carlo/scenario harnesses (ldpc/ber_harness, noc/sweep_harness,
 // core/experiment_sweep).
 //
-// Before this module each harness hand-rolled the same contract — nested
-// axis loops, a stateless per-scenario RNG from (seed, scenario index), an
-// atomic job cursor, per-worker state, an identity (or commutative-sum)
-// merge — and none of them could survive a crash, split across processes,
-// or resume a partial run. util/sweep factors that contract out once and
-// layers the robustness on top:
+// Each harness describes its sweep as a SweepSpec (scenario count, record
+// shape, config fingerprint, runner factory) through its make_*_sweep_spec
+// adapter. Everything that runs scenarios goes through run_sweep_shard:
+// the in-process run_*_sweep entry points (one shard, no checkpoint,
+// failures rethrown), the multi-process tools/renoc_sweep driver, and the
+// bench guards. Its worker loop is the only one in src/. The contract it
+// implements:
 //
 //   * scenario indexing — decode_scenario_index maps a flat index to
 //     row-major axis digits (outermost axis first, last axis fastest), the
-//     exact order every harness's nested loops enumerate; any cell is
+//     order every harness's scenario grid enumerates; any cell is
 //     reachable in O(1) without walking the grid before it;
 //   * stateless RNG — scenario_rng(seed, i) is the shared
 //     derive_stream_seed idiom, so a scenario's stream never depends on
-//     which worker, shard, process, or resume attempt runs it;
+//     which worker, claim, shard, process, or resume attempt runs it;
+//   * claims — workers take up to SweepSpec::claim_width scenarios per
+//     bump of an atomic cursor and hand them to the runner in one call
+//     (the BER adapter sets the width from BerConfig::batch_size and
+//     decodes a wide claim through the batched decoder). Records are
+//     per scenario, so the width never changes a result;
 //   * sharding — shard i of n owns scenario indices {s : s % n == i}. A
 //     stride (not a block split) keeps every shard's workload statistically
 //     identical, and because records are keyed by scenario index the merge
@@ -44,6 +50,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,14 +108,6 @@ int clamp_workers(int threads, std::int64_t jobs);
 /// Runs body(0..workers-1) on `workers` threads (inline when workers == 1,
 /// so single-threaded sweeps stay debuggable and allocation-free).
 void run_workers(int workers, const std::function<void(int)>& body);
-
-/// The scenario-per-worker loop shared by noc/sweep_harness and
-/// core/experiment_sweep: workers pull indices from an atomic cursor and
-/// run body(i) for each; the first exception aborts the remaining work and
-/// is rethrown after the join (an exception escaping a worker thread would
-/// std::terminate the process).
-void parallel_for_scenarios(std::int64_t count, int threads,
-                            const std::function<void(std::int64_t)>& body);
 
 // ---------------------------------------------------------------------------
 // Sharding
@@ -172,17 +171,26 @@ class DigestBuilder {
   std::uint64_t h_ = 0x243f6a8885a308d3ULL;  // pi fraction: fixed origin
 };
 
+/// One runner call: the scenario indices of a claim in, their records out
+/// (scenario k's record_words words at words + k * record_words).
+using SweepRunner =
+    std::function<void(std::span<const std::int64_t>, std::uint64_t*)>;
+
 /// A generic sweep: how many scenarios exist, the record shape, the config
 /// fingerprint, and a runner factory. make_runner() is called once per
 /// worker (the setup-hoisting point: decoders, fabrics, scratch buffers
-/// live here, outside the per-scenario path); the returned closure runs
-/// one scenario into a caller-provided word buffer of record_words words.
+/// live here, outside the per-scenario path); the returned runner takes
+/// between 1 and claim_width scenarios per call.
 struct SweepSpec {
   std::int64_t enumerated = 0;
   int record_words = 0;
+  /// Most scenarios a worker claims per cursor bump and passes to one
+  /// runner call (>= 1). Only adapters set it (the BER adapter from
+  /// BerConfig::batch_size); it stays out of config_digest because a
+  /// record never depends on which claim carried its scenario.
+  int claim_width = 1;
   std::uint64_t config_digest = 0;
-  std::function<std::function<void(std::int64_t, std::uint64_t*)>()>
-      make_runner;
+  std::function<SweepRunner()> make_runner;
 
   void validate() const;
 };
@@ -226,13 +234,16 @@ struct ShardRunOptions {
   Shard shard{};
   int threads = 1;
   CheckpointConfig checkpoint{};
-  /// true: a throwing scenario becomes a kFailed record and the sweep
-  /// continues (service mode). false: first exception aborts and rethrows
-  /// (the legacy harness contract).
+  /// true: a throwing runner call marks each scenario of its claim
+  /// kFailed and the sweep continues (tools/renoc_sweep). false: the
+  /// first exception aborts the run and is rethrown after the join (the
+  /// in-process run_*_sweep entry points).
   bool capture_failures = false;
   /// >= 0: abandon the run (no tail flush — as a SIGKILL would) after this
-  /// many not-yet-checkpointed scenarios have been claimed. Test hook for
-  /// kill-at-every-boundary resume sweeps; deterministic with threads == 1.
+  /// many not-yet-checkpointed scenarios have been claimed. The claim that
+  /// crosses the limit is truncated to it, so the stop point is exact at
+  /// any claim width. Test hook for kill-at-every-boundary resume sweeps;
+  /// deterministic with threads == 1.
   std::int64_t stop_after = -1;
   /// >= 0: std::_Exit(kCrashExitCode) right after this run flushes its
   /// n-th segment — a real process death with its checkpoint files left
@@ -267,10 +278,12 @@ std::vector<ScenarioRecord> load_shard_checkpoints(
     const SweepSpec& spec, const CheckpointConfig& ckpt, const Shard& shard,
     int* segments_seen);
 
-/// Runs (or resumes) one shard. With checkpointing enabled, previously
-/// flushed scenarios are validated and skipped, new completions are
-/// flushed every `checkpoint.every` scenarios from the worker loop, and a
-/// final partial segment is flushed on normal completion.
+/// Runs (or resumes) one shard. Workers claim up to spec.claim_width
+/// not-yet-done scenarios per cursor bump and run them in one runner call.
+/// With checkpointing enabled, previously flushed scenarios are validated
+/// and skipped, new completions are flushed every `checkpoint.every`
+/// scenarios from the worker loop (a segment may end inside a claim), and
+/// a final partial segment is flushed on normal completion.
 ShardRunResult run_sweep_shard(const SweepSpec& spec,
                                const ShardRunOptions& opts);
 

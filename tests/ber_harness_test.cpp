@@ -1,11 +1,12 @@
 // Tests for the multithreaded Monte-Carlo BER harness.
 //
 // The harness's design center is schedule-independence: per-block RNG
-// streams are derived up front from (seed, point, block), workers only pull
-// jobs and sum private counters, so the reported counts must be identical
-// for any thread count. This suite pins that property, the ber_block_rng
-// replay contract, the serial-decode ground truth, and the config
-// validation.
+// streams are derived statelessly from (seed, point, block), workers only
+// claim jobs and write one record per block, so the reported counts must
+// be identical for any thread count and batch width. This suite pins that
+// property, the ber_block_rng replay contract, the serial-decode ground
+// truth, absolute counts recorded before the harness ran on util/sweep,
+// and the config validation.
 #include <gtest/gtest.h>
 
 #include <cstdint>

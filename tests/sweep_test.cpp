@@ -5,18 +5,20 @@
 //     harness's axis shape, enumeration-order equality with nested loops,
 //     stream equality with the harness RNG helpers, and the pinned shared
 //     validation messages all three harnesses now emit;
-//   * sharding — stride partition properties and bit-identity of any
-//     N-way merge with the single-shard run, for the toy spec and for all
-//     three harness adapters;
+//   * sharding and claims — stride partition properties, claim geometry,
+//     and bit-identity of any N-way merge and any claim width with the
+//     single-shard width-1 run, for the toy spec and for all three
+//     harness adapters;
 //   * checkpointing — segment round trips, kill-at-every-boundary resume
-//     (every stop point merges bit-identical to a straight-through run),
+//     at claim widths 1 and 5 (every stop point merges bit-identical to a
+//     straight-through run),
 //     and the validation ladder: each defect class (truncated file,
 //     flipped payload bit, wrong schema version, overlapping ranges,
 //     stale config, wrong geometry, malformed record) is rejected with a
 //     CheckError naming that defect;
 //   * conservation — completed + failed + skipped == enumerated in every
-//     merge, with failures captured and missing shards materialized as
-//     skipped.
+//     merge, with failures captured (a throwing claim fails each of its
+//     scenarios) and missing shards materialized as skipped.
 #include "util/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -25,6 +27,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,19 +58,27 @@ std::string check_message(Fn&& fn) {
 }
 
 /// Deterministic toy spec: scenario i's record is the first `words` draws
-/// of scenario_rng(salt, i). Cheap enough to run hundreds of times.
+/// of scenario_rng(salt, i), whatever claim carries it. `width` is the
+/// claim width; the runner checks that no claim is empty or wider. Cheap
+/// enough to run hundreds of times.
 SweepSpec toy_spec(std::int64_t enumerated, int words = 3,
-                   std::uint64_t salt = 42) {
+                   std::uint64_t salt = 42, int width = 1) {
   SweepSpec spec;
   spec.enumerated = enumerated;
   spec.record_words = words;
+  spec.claim_width = width;
   DigestBuilder digest;
   digest.fold_string("toy").fold(salt).fold_int(enumerated).fold_int(words);
   spec.config_digest = digest.digest();
-  spec.make_runner = [salt, words] {
-    return [salt, words](std::int64_t scenario, std::uint64_t* out) {
-      Rng rng = scenario_rng(salt, scenario);
-      for (int k = 0; k < words; ++k) out[k] = rng.next_u64();
+  spec.make_runner = [salt, words, width]() -> SweepRunner {
+    return [salt, words, width](std::span<const std::int64_t> scenarios,
+                                std::uint64_t* out) {
+      RENOC_CHECK(!scenarios.empty() &&
+                  scenarios.size() <= static_cast<std::size_t>(width));
+      for (const std::int64_t scenario : scenarios) {
+        Rng rng = scenario_rng(salt, scenario);
+        for (int k = 0; k < words; ++k) *out++ = rng.next_u64();
+      }
     };
   };
   return spec;
@@ -329,36 +341,78 @@ TEST(ShardTest, RejectsBadGeometry) {
 }
 
 TEST(ShardRunTest, AnySplitMergesToTheSingleShardRun) {
-  const SweepSpec spec = toy_spec(17);
   const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
+      run_sweep_shard(toy_spec(17), ShardRunOptions{}).records;
   ASSERT_EQ(baseline.size(), 17u);
-  for (const int shards : {1, 2, 4}) {
-    std::vector<std::vector<ScenarioRecord>> parts;
-    for (int s = 0; s < shards; ++s) {
-      ShardRunOptions opt;
-      opt.shard = Shard{s, shards};
-      parts.push_back(run_sweep_shard(spec, opt).records);
+  // Widths 2 and 5 leave short tail claims; 64 is wider than any shard.
+  for (const int width : {1, 2, 5, 64}) {
+    const SweepSpec spec = toy_spec(17, 3, 42, width);
+    for (const int shards : {1, 2, 4}) {
+      std::vector<std::vector<ScenarioRecord>> parts;
+      for (int s = 0; s < shards; ++s) {
+        ShardRunOptions opt;
+        opt.shard = Shard{s, shards};
+        parts.push_back(run_sweep_shard(spec, opt).records);
+      }
+      const MergeResult merged = merge_shard_records(spec.enumerated, parts);
+      EXPECT_TRUE(merged.counts.conserved());
+      EXPECT_EQ(merged.counts.skipped, 0);
+      EXPECT_TRUE(records_equal(baseline, merged.records))
+          << width << " " << shards;
     }
-    const MergeResult merged = merge_shard_records(spec.enumerated, parts);
-    EXPECT_TRUE(merged.counts.conserved());
-    EXPECT_EQ(merged.counts.skipped, 0);
-    EXPECT_TRUE(records_equal(baseline, merged.records)) << shards;
   }
 }
 
 TEST(ShardRunTest, ThreadCountDoesNotChangeRecords) {
-  const SweepSpec spec = toy_spec(11);
   const std::vector<ScenarioRecord> one =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  ShardRunOptions four;
-  four.threads = 4;
-  EXPECT_TRUE(records_equal(one, run_sweep_shard(spec, four).records));
+      run_sweep_shard(toy_spec(11), ShardRunOptions{}).records;
+  for (const int width : {1, 5}) {
+    ShardRunOptions four;
+    four.threads = 4;
+    EXPECT_TRUE(records_equal(
+        one, run_sweep_shard(toy_spec(11, 3, 42, width), four).records))
+        << width;
+  }
+}
+
+TEST(ShardRunTest, ClaimsTakeUpToTheWidthInTodoOrder) {
+  // One worker claims consecutive todo positions, `width` at a time, and
+  // the last claim takes the remainder.
+  SweepSpec spec = toy_spec(12, 1, 42, 5);
+  const auto claims =
+      std::make_shared<std::vector<std::vector<std::int64_t>>>();
+  spec.make_runner = [claims]() -> SweepRunner {
+    return [claims](std::span<const std::int64_t> scenarios,
+                    std::uint64_t* out) {
+      claims->emplace_back(scenarios.begin(), scenarios.end());
+      for (const std::int64_t scenario : scenarios)
+        *out++ = static_cast<std::uint64_t>(scenario);
+    };
+  };
+  run_sweep_shard(spec, ShardRunOptions{});
+  EXPECT_EQ(*claims, (std::vector<std::vector<std::int64_t>>{
+                         {0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}, {10, 11}}));
+  claims->clear();
+  ShardRunOptions odd;
+  odd.shard = Shard{1, 2};
+  run_sweep_shard(spec, odd);
+  EXPECT_EQ(*claims, (std::vector<std::vector<std::int64_t>>{
+                         {1, 3, 5, 7, 9}, {11}}));
+}
+
+TEST(ShardRunTest, RejectsZeroClaimWidth) {
+  const std::string message = check_message(
+      [] { run_sweep_shard(toy_spec(4, 3, 42, 0), ShardRunOptions{}); });
+  EXPECT_NE(message.find("sweep claim width must be >= 1, got 0"),
+            std::string::npos);
 }
 
 // --- harness adapters ------------------------------------------------------
 
 TEST(HarnessAdapterTest, BerServiceRunEqualsDirectSweep) {
+  // run_ber_sweep runs this same spec, so the scalar width-1 sweep is the
+  // reference here; BerHarnessTest.PinnedCountsForFixedCodeAndSeed and
+  // BlockRngReplaysSweepBlocks anchor it independently.
   Rng code_rng(3);
   const LdpcCode code = LdpcCode::make_regular(120, 3, 6, code_rng);
   const LdpcEncoder encoder(code);
@@ -369,25 +423,34 @@ TEST(HarnessAdapterTest, BerServiceRunEqualsDirectSweep) {
   cfg.seed = 99;
   const std::vector<BerPoint> direct = run_ber_sweep(code, encoder, cfg);
 
-  const SweepSpec spec = make_ber_sweep_spec(code, encoder, cfg);
-  EXPECT_EQ(spec.enumerated, 10);
-  std::vector<std::vector<ScenarioRecord>> parts;
-  for (int s = 0; s < 2; ++s) {
-    ShardRunOptions opt;
-    opt.shard = Shard{s, 2};
-    parts.push_back(run_sweep_shard(spec, opt).records);
-  }
-  const MergeResult merged = merge_shard_records(spec.enumerated, parts);
-  const std::vector<BerPoint> service =
-      ber_points_from_records(cfg, merged.records);
-  ASSERT_EQ(service.size(), direct.size());
-  for (std::size_t p = 0; p < direct.size(); ++p) {
-    EXPECT_EQ(service[p].ebn0_db, direct[p].ebn0_db);
-    EXPECT_EQ(service[p].blocks, direct[p].blocks);
-    EXPECT_EQ(service[p].bits, direct[p].bits);
-    EXPECT_EQ(service[p].bit_errors, direct[p].bit_errors);
-    EXPECT_EQ(service[p].block_errors, direct[p].block_errors);
-    EXPECT_EQ(service[p].iterations_total, direct[p].iterations_total);
+  for (const int batch : {1, 8}) {
+    cfg.batch_size = batch;
+    const SweepSpec spec = make_ber_sweep_spec(code, encoder, cfg);
+    EXPECT_EQ(spec.enumerated, 10);
+    EXPECT_EQ(spec.claim_width, batch);
+    for (const int shards : {1, 2, 3}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " shards " +
+                   std::to_string(shards));
+      std::vector<std::vector<ScenarioRecord>> parts;
+      for (int s = 0; s < shards; ++s) {
+        ShardRunOptions opt;
+        opt.shard = Shard{s, shards};
+        parts.push_back(run_sweep_shard(spec, opt).records);
+      }
+      const MergeResult merged = merge_shard_records(spec.enumerated, parts);
+      EXPECT_EQ(merged.counts.completed, spec.enumerated);
+      const std::vector<BerPoint> service =
+          ber_points_from_records(cfg, merged.records);
+      ASSERT_EQ(service.size(), direct.size());
+      for (std::size_t p = 0; p < direct.size(); ++p) {
+        EXPECT_EQ(service[p].ebn0_db, direct[p].ebn0_db);
+        EXPECT_EQ(service[p].blocks, direct[p].blocks);
+        EXPECT_EQ(service[p].bits, direct[p].bits);
+        EXPECT_EQ(service[p].bit_errors, direct[p].bit_errors);
+        EXPECT_EQ(service[p].block_errors, direct[p].block_errors);
+        EXPECT_EQ(service[p].iterations_total, direct[p].iterations_total);
+      }
+    }
   }
 }
 
@@ -536,57 +599,75 @@ TEST(CheckpointTest, SegmentsRoundTripAndResumeRunsNothing) {
 }
 
 TEST(CheckpointTest, KillAtEveryBoundaryResumesToIdenticalBits) {
-  const SweepSpec spec = toy_spec(12);
   const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
+      run_sweep_shard(toy_spec(12), ShardRunOptions{}).records;
   // Kill after every possible number of completed scenarios (stop_after
   // abandons the run without the tail flush, exactly like a SIGKILL), then
   // resume to completion and demand bit-identity with the straight-through
-  // run.
-  for (std::int64_t stop = 0; stop <= 12; ++stop) {
-    const ScratchDir dir("kill" + std::to_string(stop));
-    ShardRunOptions killed;
-    killed.checkpoint = dir.ckpt(/*every=*/2);
-    killed.stop_after = stop;
-    run_sweep_shard(spec, killed);
+  // width-1 run. Width 5 claims straddle the segment boundaries of both
+  // periods, stop_after truncates the claim that crosses it, and the
+  // width is not in the digest, so a resume may run at another width.
+  for (const int width : {1, 5}) {
+    for (const int resume_width : {1, 5}) {
+      for (const int every : {2, 3}) {
+        for (std::int64_t stop = 0; stop <= 12; ++stop) {
+          const std::string label =
+              std::to_string(width) + "_" + std::to_string(resume_width) +
+              "_" + std::to_string(every) + "_" + std::to_string(stop);
+          SCOPED_TRACE("width_resume-width_every_stop " + label);
+          const ScratchDir dir("kill" + label);
+          ShardRunOptions killed;
+          killed.checkpoint = dir.ckpt(every);
+          killed.stop_after = stop;
+          EXPECT_EQ(static_cast<std::int64_t>(
+                        run_sweep_shard(toy_spec(12, 3, 42, width), killed)
+                            .records.size()),
+                    stop);
 
-    ShardRunOptions resume;
-    resume.checkpoint = killed.checkpoint;
-    const ShardRunResult done = run_sweep_shard(spec, resume);
-    EXPECT_EQ(done.resumed, (stop / 2) * 2) << stop;  // whole segments only
-    EXPECT_TRUE(records_equal(baseline, done.records)) << stop;
+          const SweepSpec spec = toy_spec(12, 3, 42, resume_width);
+          ShardRunOptions resume;
+          resume.checkpoint = killed.checkpoint;
+          const ShardRunResult done = run_sweep_shard(spec, resume);
+          EXPECT_EQ(done.resumed, (stop / every) * every);  // whole segments
+          EXPECT_TRUE(records_equal(baseline, done.records));
 
-    const MergeResult merged =
-        merge_checkpoints(spec, resume.checkpoint, 1);
-    EXPECT_TRUE(merged.counts.conserved());
-    EXPECT_EQ(merged.counts.skipped, 0) << stop;
-    EXPECT_TRUE(records_equal(baseline, merged.records)) << stop;
+          const MergeResult merged =
+              merge_checkpoints(spec, resume.checkpoint, 1);
+          EXPECT_TRUE(merged.counts.conserved());
+          EXPECT_EQ(merged.counts.skipped, 0);
+          EXPECT_TRUE(records_equal(baseline, merged.records));
+        }
+      }
+    }
   }
 }
 
 TEST(CheckpointTest, ShardedKillAndResumeMergesToBaseline) {
-  const SweepSpec spec = toy_spec(14);
   const std::vector<ScenarioRecord> baseline =
-      run_sweep_shard(spec, ShardRunOptions{}).records;
-  const ScratchDir dir("shardkill");
-  // Shard 1 of 2 dies mid-run; shard 0 completes. The rerun of shard 1
-  // resumes from its segments and the merge is bit-identical.
-  ShardRunOptions s0;
-  s0.shard = Shard{0, 2};
-  s0.checkpoint = dir.ckpt();
-  run_sweep_shard(spec, s0);
-  ShardRunOptions s1 = s0;
-  s1.shard = Shard{1, 2};
-  s1.stop_after = 3;
-  run_sweep_shard(spec, s1);
-  s1.stop_after = -1;
-  const ShardRunResult resumed = run_sweep_shard(spec, s1);
-  EXPECT_EQ(resumed.resumed, 2);  // one full segment of the killed run
+      run_sweep_shard(toy_spec(14), ShardRunOptions{}).records;
+  for (const int width : {1, 5}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const SweepSpec spec = toy_spec(14, 3, 42, width);
+    const ScratchDir dir("shardkill" + std::to_string(width));
+    // Shard 1 of 2 dies mid-run; shard 0 completes. The rerun of shard 1
+    // resumes from its segments and the merge is bit-identical.
+    ShardRunOptions s0;
+    s0.shard = Shard{0, 2};
+    s0.checkpoint = dir.ckpt();
+    run_sweep_shard(spec, s0);
+    ShardRunOptions s1 = s0;
+    s1.shard = Shard{1, 2};
+    s1.stop_after = 3;
+    run_sweep_shard(spec, s1);
+    s1.stop_after = -1;
+    const ShardRunResult resumed = run_sweep_shard(spec, s1);
+    EXPECT_EQ(resumed.resumed, 2);  // one full segment of the killed run
 
-  const MergeResult merged = merge_checkpoints(spec, dir.ckpt(), 2);
-  EXPECT_TRUE(merged.counts.conserved());
-  EXPECT_EQ(merged.counts.skipped, 0);
-  EXPECT_TRUE(records_equal(baseline, merged.records));
+    const MergeResult merged = merge_checkpoints(spec, dir.ckpt(), 2);
+    EXPECT_TRUE(merged.counts.conserved());
+    EXPECT_EQ(merged.counts.skipped, 0);
+    EXPECT_TRUE(records_equal(baseline, merged.records));
+  }
 }
 
 // --- the validation ladder -------------------------------------------------
@@ -689,8 +770,9 @@ TEST(CheckpointDefectTest, MalformedRecordIsNamed) {
 /// Toy spec whose runner throws on every third scenario.
 SweepSpec faulty_spec(std::int64_t enumerated) {
   SweepSpec spec = toy_spec(enumerated, 2, /*salt=*/5);
-  spec.make_runner = [] {
-    return [](std::int64_t scenario, std::uint64_t* out) {
+  spec.make_runner = []() -> SweepRunner {
+    return [](std::span<const std::int64_t> scenarios, std::uint64_t* out) {
+      const std::int64_t scenario = scenarios[0];
       RENOC_CHECK_MSG(scenario % 3 != 0, "scenario " << scenario << " died");
       Rng rng = scenario_rng(5, scenario);
       out[0] = rng.next_u64();
@@ -715,6 +797,36 @@ TEST(ConservationTest, CapturedFailuresCountAsFailedNotSkipped) {
   for (const ScenarioRecord& rec : merged.records) {
     if (rec.outcome == Outcome::kFailed) {
       EXPECT_TRUE(rec.words.empty());
+    }
+  }
+}
+
+TEST(ConservationTest, ThrowingClaimFailsEachOfItsScenarios) {
+  // Width 5 over 12 scenarios claims {0-4}, {5-9}, {10, 11}; scenario 7
+  // throws, so its whole claim resolves kFailed and the rest complete.
+  SweepSpec spec = toy_spec(12, 2, /*salt=*/5, /*width=*/5);
+  const SweepRunner good = toy_spec(12, 2, 5, 5).make_runner();
+  spec.make_runner = [good]() -> SweepRunner {
+    return [good](std::span<const std::int64_t> scenarios,
+                  std::uint64_t* out) {
+      for (const std::int64_t scenario : scenarios)
+        RENOC_CHECK_MSG(scenario != 7, "scenario 7 died");
+      good(scenarios, out);
+    };
+  };
+  ShardRunOptions opt;
+  opt.capture_failures = true;
+  const MergeResult merged =
+      merge_shard_records(12, {run_sweep_shard(spec, opt).records});
+  EXPECT_TRUE(merged.counts.conserved());
+  EXPECT_EQ(merged.counts.failed, 5);
+  EXPECT_EQ(merged.counts.completed, 7);
+  EXPECT_EQ(merged.incomplete, (std::vector<std::int64_t>{5, 6, 7, 8, 9}));
+  const std::vector<ScenarioRecord> clean =
+      run_sweep_shard(toy_spec(12, 2, 5, 5), ShardRunOptions{}).records;
+  for (const ScenarioRecord& rec : merged.records) {
+    if (rec.outcome == Outcome::kCompleted) {
+      EXPECT_EQ(rec.words, clean[static_cast<std::size_t>(rec.scenario)].words);
     }
   }
 }

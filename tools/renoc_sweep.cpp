@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -36,7 +37,10 @@
 #include <cstring>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -51,6 +55,15 @@ namespace {
 
 using renoc::JsonWriter;
 namespace sweep = renoc::sweep;
+
+// Upper bounds of the numeric flags. Shards are forked all at once and
+// each one runs threads-per-shard threads, so both stay small; a delay
+// (timeout or backoff) of one day keeps every steady_clock deadline far
+// from overflow.
+constexpr int kMaxShards = 256;
+constexpr int kMaxThreadsPerShard = 256;
+constexpr int kMaxRetries = 1000;
+constexpr long long kMaxDelayMs = 86'400'000;
 
 struct Options {
   std::string harness;          // ber | noc | experiment (required)
@@ -74,62 +87,94 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --harness ber|noc|experiment [options]\n"
       "  --preset smoke|full        scenario grid size (default smoke)\n"
-      "  --seed N                   master seed (default 1)\n"
-      "  --shards N                 worker processes (default 1)\n"
-      "  --threads-per-shard N      threads inside each worker (default 1)\n"
+      "  --seed N                   master seed, 0..2^64-1 (default 1)\n"
+      "  --shards N                 worker processes, 1..%d (default 1)\n"
+      "  --threads-per-shard N      threads inside each worker, 1..%d "
+      "(default 1)\n"
       "  --ckpt-dir DIR             checkpoint directory (default "
       "renoc_sweep_ckpt)\n"
       "  --tag TAG                  checkpoint file tag (default sweep)\n"
-      "  --checkpoint-every N       scenarios per segment (default 8)\n"
+      "  --checkpoint-every N       scenarios per segment, >= 1 (default 8)\n"
       "  --out PATH                 merged JSON artifact (default "
       "SWEEP_result.json)\n"
-      "  --timeout-ms N             per-attempt watchdog, 0 = off (default "
-      "60000)\n"
-      "  --retries N                restarts per shard (default 2)\n"
-      "  --backoff-ms N             retry k waits backoff << k ms (default "
-      "100)\n"
-      "  --inject-crash S:K         shard S's first attempt dies after K "
-      "segments\n",
-      argv0);
+      "  --timeout-ms N             per-attempt watchdog, 0 = off, at most "
+      "%lld (default 60000)\n"
+      "  --retries N                restarts per shard, 0..%d (default 2)\n"
+      "  --backoff-ms N             retry k waits backoff << k ms, capped "
+      "at %lld (default 100)\n"
+      "  --inject-crash S:K         shard S (0 <= S < shards)'s first "
+      "attempt dies after K >= 1 segments\n"
+      "Numbers are whole base-10 tokens; anything else is rejected.\n",
+      argv0, kMaxShards, kMaxThreadsPerShard, kMaxDelayMs, kMaxRetries,
+      kMaxDelayMs);
   return 1;
 }
 
+/// Parses all of `text` as a base-10 integer in [lo, hi]. Rejects an empty
+/// token, a sign or space from_chars does not take, trailing characters
+/// ("3x", "2.5"), and out-of-range values (including ones that overflow T).
+template <typename T>
+bool parse_number(std::string_view text, T lo, T hi, T& out) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi)
+    return false;
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) return nullptr;
     return argv[++i];
   };
-  for (int i = 1; i < argc; ++i) {
+  bool ok = true;
+  for (int i = 1; i < argc && ok; ++i) {
     const std::string a = argv[i];
-    const char* v = nullptr;
-    if (a == "--harness" && (v = need(i))) opt.harness = v;
-    else if (a == "--preset" && (v = need(i))) opt.preset = v;
-    else if (a == "--seed" && (v = need(i))) opt.seed = std::strtoull(v, nullptr, 10);
-    else if (a == "--shards" && (v = need(i))) opt.shards = std::atoi(v);
-    else if (a == "--threads-per-shard" && (v = need(i))) opt.threads_per_shard = std::atoi(v);
-    else if (a == "--ckpt-dir" && (v = need(i))) opt.ckpt_dir = v;
-    else if (a == "--tag" && (v = need(i))) opt.tag = v;
-    else if (a == "--checkpoint-every" && (v = need(i))) opt.checkpoint_every = std::atoi(v);
-    else if (a == "--out" && (v = need(i))) opt.out = v;
-    else if (a == "--timeout-ms" && (v = need(i))) opt.timeout_ms = std::atoll(v);
-    else if (a == "--retries" && (v = need(i))) opt.retries = std::atoi(v);
-    else if (a == "--backoff-ms" && (v = need(i))) opt.backoff_ms = std::atoll(v);
-    else if (a == "--inject-crash" && (v = need(i))) {
-      const char* colon = std::strchr(v, ':');
-      if (!colon) return false;
-      opt.crash_shard = std::atoi(std::string(v, colon).c_str());
-      opt.crash_segments = std::atoi(colon + 1);
+    const char* v = need(i);
+    if (v == nullptr) return false;  // every flag takes a value
+    if (a == "--harness") opt.harness = v;
+    else if (a == "--preset") opt.preset = v;
+    else if (a == "--seed")
+      ok = parse_number<std::uint64_t>(
+          v, 0, std::numeric_limits<std::uint64_t>::max(), opt.seed);
+    else if (a == "--shards")
+      ok = parse_number(v, 1, kMaxShards, opt.shards);
+    else if (a == "--threads-per-shard")
+      ok = parse_number(v, 1, kMaxThreadsPerShard, opt.threads_per_shard);
+    else if (a == "--ckpt-dir") opt.ckpt_dir = v;
+    else if (a == "--tag") opt.tag = v;
+    else if (a == "--checkpoint-every")
+      ok = parse_number(v, 1, kIntMax, opt.checkpoint_every);
+    else if (a == "--out") opt.out = v;
+    else if (a == "--timeout-ms")
+      ok = parse_number(v, 0LL, kMaxDelayMs, opt.timeout_ms);
+    else if (a == "--retries")
+      ok = parse_number(v, 0, kMaxRetries, opt.retries);
+    else if (a == "--backoff-ms")
+      ok = parse_number(v, 0LL, kMaxDelayMs, opt.backoff_ms);
+    else if (a == "--inject-crash") {
+      const std::string_view spec(v);
+      const std::size_t colon = spec.find(':');
+      ok = colon != std::string_view::npos &&
+           parse_number(spec.substr(0, colon), 0, kIntMax, opt.crash_shard) &&
+           parse_number(spec.substr(colon + 1), 1, kIntMax,
+                        opt.crash_segments);
     } else {
       return false;
     }
   }
+  if (!ok) return false;
   if (opt.harness != "ber" && opt.harness != "noc" &&
       opt.harness != "experiment")
     return false;
   if (opt.preset != "smoke" && opt.preset != "full") return false;
-  return opt.shards >= 1 && opt.threads_per_shard >= 1 &&
-         opt.checkpoint_every >= 1 && opt.retries >= 0 &&
-         opt.backoff_ms >= 0 && opt.timeout_ms >= 0 && !opt.ckpt_dir.empty();
+  // A crash aimed at a shard that does not exist would inject nothing and
+  // let a crash drill pass without a crash.
+  if (opt.crash_shard >= opt.shards) return false;
+  return !opt.ckpt_dir.empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -148,6 +193,10 @@ struct BerContext {
     renoc::LdpcEncoder encoder(code);
     renoc::BerConfig cfg;
     cfg.seed = opt.seed;
+    // Batched decode, the width the ber_curve benchmark uses. batch_size
+    // is not in the config digest, so artifacts and checkpoints do not
+    // depend on it.
+    cfg.batch_size = 16;
     if (opt.preset == "smoke") {
       cfg.ebn0_db = {1.0, 2.0};
       cfg.blocks_per_point = 24;
@@ -377,8 +426,7 @@ void supervise(const sweep::SweepSpec& spec, const Options& opt,
         --open;
         continue;
       }
-      const bool inject = st.attempts == 0 && s == opt.crash_shard &&
-                          opt.crash_segments >= 0;
+      const bool inject = st.attempts == 0 && s == opt.crash_shard;
       st.pid = launch_shard(spec, opt, s, inject);
       ++st.attempts;
       st.deadline = opt.timeout_ms > 0
@@ -422,11 +470,13 @@ void supervise(const sweep::SweepSpec& spec, const Options& opt,
           } else {
             // Deterministic exponential backoff: retry k waits
             // backoff_ms << k (k = completed attempts - 1 is 0 for the
-            // first retry).
+            // first retry), capped at kMaxDelayMs. backoff_ms <= 2^27 and
+            // shift <= 20, so the shift itself cannot overflow.
             const long long shift =
                 std::min<long long>(st.attempts - 1, 20);
-            st.next_launch = clock::now() + std::chrono::milliseconds(
-                                                opt.backoff_ms << shift);
+            st.next_launch =
+                clock::now() + std::chrono::milliseconds(std::min(
+                                   opt.backoff_ms << shift, kMaxDelayMs));
           }
         }
         break;
