@@ -17,13 +17,16 @@
 namespace renoc::bench {
 
 /// Best-of-N wall time of op() in milliseconds: repeats until the budget is
-/// spent (at least twice), reporting the fastest run.
-inline double time_ms(double budget_ms, const std::function<void()>& op) {
+/// spent (at least twice), reporting the fastest run. An untimed setup()
+/// runs before every op(), for ops that consume their state.
+inline double time_ms(double budget_ms, const std::function<void()>& setup,
+                      const std::function<void()>& op) {
   using clock = std::chrono::steady_clock;
   double best = 1e300;
   double spent = 0.0;
   int reps = 0;
   while (reps < 2 || spent < budget_ms) {
+    setup();
     const auto t0 = clock::now();
     op();
     const auto t1 = clock::now();
@@ -34,6 +37,10 @@ inline double time_ms(double budget_ms, const std::function<void()>& op) {
     ++reps;
   }
   return best;
+}
+
+inline double time_ms(double budget_ms, const std::function<void()>& op) {
+  return time_ms(budget_ms, [] {}, op);
 }
 
 /// First "model name" line of /proc/cpuinfo, or "unknown".

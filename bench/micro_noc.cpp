@@ -13,10 +13,11 @@
 //
 // A decode section times the layer the paper pipeline actually spends its
 // NoC time in: NocLdpcDecoder::decode_block on the full-scale chip
-// configurations (A and E; A only under --smoke), reporting host ns per
-// simulated cycle and the share of cycles the decoder skipped with
-// Fabric::advance_idle instead of stepping. Its decoded bits must equal
-// the golden decoder's.
+// configurations (A and E; A only under --smoke), as a simulated block
+// (reporting host ns per simulated cycle and the share of cycles skipped
+// with Fabric::advance_idle instead of stepping) and as a block replayed
+// from the decoder's block cache (noc_decode_timing.hpp). Both paths'
+// decoded bits must equal the golden decoder's.
 //
 // Results are also written as machine-readable JSON (BENCH_noc.json by
 // default) so CI can archive them per commit.
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "bench_timing.hpp"
+#include "noc_decode_timing.hpp"
 #include "core/chip_config.hpp"
 #include "core/transform.hpp"
 #include "ldpc/decoder.hpp"
@@ -340,11 +342,7 @@ std::vector<WantScanRow> run_want_scan_rows(int side, double budget_ms) {
 struct DecodeRow {
   std::string config;
   int mesh = 0;
-  std::uint64_t cycles_per_block = 0;
-  double ms_per_block = 0.0;
-  double ns_per_cycle = 0.0;   ///< host time per simulated fabric cycle
-  double skipped_share = 0.0;  ///< cycles advanced by advance_idle
-  bool golden_match = false;
+  bench::NocDecodeTiming timing;
 };
 
 /// Times decode_block on one full-scale chip configuration, placed the way
@@ -354,27 +352,12 @@ DecodeRow run_decode_row(const std::string& name, double budget_ms) {
   const BuiltChip chip = build_chip(cfg);
   std::vector<int> placement = identity_permutation(cfg.dim.node_count());
   placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
-  Fabric fabric(cfg.noc);
-  NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
-                         cfg.ldpc_params);
   DecodeRow row;
   row.config = name;
   row.mesh = cfg.dim.width;
-  // The first block warms the payload pool and doubles as the skip probe.
-  const Cycle now0 = fabric.now();
-  const Cycle skipped0 = fabric.skipped_cycles();
-  NocDecodeResult res = decoder.decode_block(chip.channel_llrs);
-  row.cycles_per_block = res.cycles;
-  row.skipped_share =
-      static_cast<double>(fabric.skipped_cycles() - skipped0) /
-      static_cast<double>(fabric.now() - now0);
-  row.ms_per_block = time_ms(
-      budget_ms, [&] { res = decoder.decode_block(chip.channel_llrs); });
-  row.ns_per_cycle =
-      row.ms_per_block * 1e6 / static_cast<double>(row.cycles_per_block);
-  const MinSumDecoder golden(chip.code, cfg.ldpc_params.iterations);
-  row.golden_match =
-      res.hard_bits == golden.decode(chip.channel_llrs).hard_bits;
+  row.timing = bench::time_noc_decode(cfg.noc, chip.code, chip.partition,
+                                      placement, cfg.ldpc_params,
+                                      chip.channel_llrs, budget_ms);
   return row;
 }
 
@@ -479,11 +462,15 @@ void write_json(const std::string& path, bool smoke,
     json.begin_object();
     json.key("config").string(r.config);
     json.key("mesh").integer(r.mesh);
-    json.key("cycles_per_block").uinteger(r.cycles_per_block);
-    json.key("ms_per_block").real(r.ms_per_block, 3);
-    json.key("ns_per_cycle").real(r.ns_per_cycle, 1);
-    json.key("skipped_share").real(r.skipped_share, 4);
-    json.key("golden_match").boolean(r.golden_match);
+    const bench::NocDecodeTiming& t = r.timing;
+    json.key("cycles_per_block").uinteger(t.cycles);
+    json.key("simulated_ms_per_block").real(t.simulated_ms, 3);
+    json.key("simulated_ns_per_cycle")
+        .real(t.simulated_ms * 1e6 / static_cast<double>(t.cycles), 1);
+    json.key("skipped_share").real(t.skipped_share, 4);
+    json.key("replayed_ms_per_block").real(t.replayed_ms, 4);
+    json.key("replay_speedup").real(t.simulated_ms / t.replayed_ms, 1);
+    json.key("golden_match").boolean(t.golden_match);
     json.end_object();
   }
   json.end_array();
@@ -628,23 +615,28 @@ int run(bool smoke, const std::string& json_path) {
   want_table.print(std::cout);
 
   // --- NoC-mapped LDPC decode: the end-to-end NoC layer ------------------
-  Table decode_table({"config", "mesh", "cycles/block", "ms/block",
-                      "ns/cycle", "skipped", "== golden"});
+  Table decode_table({"config", "mesh", "cycles/block", "simulated ms",
+                      "ns/cycle", "skipped", "replayed ms", "speedup",
+                      "== golden"});
   decode_table.set_title(
-      "NocLdpcDecoder::decode_block at full scale, best-of-N; skipped = "
-      "share of cycles advanced by advance_idle");
+      "NocLdpcDecoder::decode_block at full scale, best-of-N: a simulated "
+      "block (fresh decoder) and a replayed one (warmed decoder); skipped = "
+      "share of simulated cycles advanced by advance_idle");
   std::vector<DecodeRow> decode_rows;
   for (const char* name : smoke ? std::vector<const char*>{"A"}
                                 : std::vector<const char*>{"A", "E"}) {
     const DecodeRow r = run_decode_row(name, smoke ? 1.0 : 2000.0);
+    const bench::NocDecodeTiming& t = r.timing;
     decode_table.add_row(
         {r.config,
          std::to_string(r.mesh) + "x" + std::to_string(r.mesh),
-         std::to_string(r.cycles_per_block), Table::num(r.ms_per_block, 2),
-         Table::num(r.ns_per_cycle, 0),
-         Table::num(100.0 * r.skipped_share, 1) + "%",
-         r.golden_match ? "yes" : "NO"});
-    ok = ok && r.golden_match;
+         std::to_string(t.cycles), Table::num(t.simulated_ms, 2),
+         Table::num(t.simulated_ms * 1e6 / static_cast<double>(t.cycles), 0),
+         Table::num(100.0 * t.skipped_share, 1) + "%",
+         Table::num(t.replayed_ms, 3),
+         Table::num(t.simulated_ms / t.replayed_ms, 0) + "x",
+         t.golden_match ? "yes" : "NO"});
+    ok = ok && t.golden_match;
     decode_rows.push_back(r);
   }
   decode_table.print(std::cout);

@@ -156,6 +156,7 @@ void write_json(const std::string& path, bool smoke,
   json.begin_object();
   json.key("bench").string("micro_thermal");
   json.key("smoke").boolean(smoke);
+  bench::write_machine_json(json);
   json.key("rows").begin_array();
   for (const RowResult& r : rows) {
     json.begin_object();

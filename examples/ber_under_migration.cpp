@@ -9,6 +9,14 @@
 // migrating after every block — can re-decode them and prove identical
 // error counts, while also reporting decoded throughput with and without
 // migration.
+//
+// Each decoder replays blocks from its block cache once a (placement,
+// arbitration fingerprint) repeats (see ldpc/noc_decoder.hpp); a replayed
+// block's bits come from the flat min-sum decoder. So the plain decoder
+// below mostly checks the flat decoder against the golden sweep. The proof
+// that the distributed decode equals the flat one lives in the
+// NocDecoderEquivalence and NocDecoderReplay tests, and is repeated on
+// every cache miss: each distinct key is simulated cycle by cycle once.
 #include <cstdio>
 #include <vector>
 

@@ -36,6 +36,7 @@ StreamResult ReconfigurableLdpcSystem::run_stream(int blocks,
 
   StreamResult result;
   const Cycle start = fabric_->now();
+  const std::uint64_t replayed_before = decoder_->replayed_blocks();
   bool all_match = true;
   for (int b = 0; b < blocks; ++b) {
     const NocDecodeResult res =
@@ -61,6 +62,8 @@ StreamResult ReconfigurableLdpcSystem::run_stream(int blocks,
                 static_cast<double>(result.total_cycles)
           : 0.0;
   result.all_blocks_match_golden = all_match;
+  result.replayed_blocks =
+      static_cast<int>(decoder_->replayed_blocks() - replayed_before);
   result.final_placement = placement_;
   return result;
 }

@@ -29,6 +29,9 @@ struct StreamResult {
   Cycle migration_cycles = 0;
   double throughput_penalty = 0.0;  ///< migration_cycles / total_cycles
   bool all_blocks_match_golden = false;
+  /// Blocks the decoder replayed from its block cache; the rest were
+  /// simulated cycle by cycle (see ldpc/noc_decoder.hpp).
+  int replayed_blocks = 0;
   std::vector<int> final_placement;
 };
 

@@ -30,12 +30,35 @@
 // idle fabric the clock jumps straight to the earliest completion with
 // Fabric::advance_idle. Every simulated count is what stepping each cycle
 // would produce (tests/noc_decoder_test.cpp pins them).
+//
+// Block replay. Because timing is value-independent, a block's whole effect
+// on the fabric is a function of this decoder (code, partition, params),
+// its placement, and the idle fabric's arbitration fingerprint
+// (Fabric::arbitration_fingerprint: the round-robin cursors and NI-enabled
+// flags; credits, grants and buffers are asserted idle, not hashed). Each
+// decoder therefore keeps a small block cache keyed by (placement,
+// fingerprint), holding at most kBlockCacheCap entries; once it is full, new
+// keys simply miss. set_placement() keeps it, because migration orbits
+// revisit placements.
+//   - A miss simulates the block as described above and records its
+//     BlockDelta (noc/fabric.hpp: counters, deliveries and latency
+//     samples, packet ids, cycles, end cursors) under the key.
+//   - A hit applies that delta with Fabric::replay and computes the hard
+//     bits with the flat MinSumDecoder (fixed iterations, no early exit),
+//     to which the distributed decode is bit-identical by construction.
+//   - A degraded fabric, or a delivered-but-unread message at block start,
+//     always misses and records nothing.
+// The fabric ends a hit exactly as it would end the simulated block; the
+// NocDecoderReplay tests prove it counter by counter, and every distinct
+// key is simulated (and, in run_stream, golden-checked) once. A fresh
+// decoder is the "always simulate" path; nothing else switches the cache.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ldpc/code.hpp"
+#include "ldpc/decoder.hpp"
 #include "ldpc/partition.hpp"
 #include "noc/fabric.hpp"
 
@@ -71,8 +94,19 @@ class NocLdpcDecoder {
   void set_placement(const std::vector<int>& placement);
   const std::vector<int>& placement() const { return placement_; }
 
-  /// Decodes one block, driving the fabric until completion.
+  /// Decodes one block, driving the fabric until completion (or replaying
+  /// a cached block with the same placement and fingerprint; see above).
   NocDecodeResult decode_block(const std::vector<std::int16_t>& channel_llrs);
+
+  /// Blocks decode_block simulated cycle by cycle / replayed from the block
+  /// cache since construction. Deterministic for a given call sequence.
+  std::uint64_t simulated_blocks() const { return simulated_blocks_; }
+  std::uint64_t replayed_blocks() const { return replayed_blocks_; }
+
+  /// Block-cache entries per decoder (a few per placement of an orbit).
+  static constexpr std::size_t kBlockCacheCap = 16;
+  /// Entries recorded so far (at most kBlockCacheCap).
+  std::size_t cached_blocks() const { return cache_.size(); }
 
   int cluster_count() const { return partition_.cluster_count; }
   const Partition& partition() const { return partition_; }
@@ -91,6 +125,12 @@ class NocLdpcDecoder {
   // phase 2*iterations is the final hard-decision phase.
   int phase_count() const { return 2 * params_.iterations + 1; }
 
+  struct CachedBlock {
+    std::vector<int> placement;
+    std::vector<std::int8_t> fingerprint;
+    BlockDelta delta;
+  };
+
   enum class PeState { kWaiting, kComputing, kDone };
 
   struct ClusterRuntime {
@@ -107,6 +147,10 @@ class NocLdpcDecoder {
   };
 
   void build_static_tables();
+  /// The cycle-by-cycle block decode (the cache's miss path).
+  NocDecodeResult simulate_block(const std::vector<std::int16_t>& channel_llrs);
+  NocDecodeResult replay_block(const BlockDelta& delta,
+                               const std::vector<std::int16_t>& channel_llrs);
   void unpack_message(const Message& msg);
   std::size_t received_index(int cluster, int phase) const {
     return static_cast<std::size_t>(cluster) *
@@ -148,6 +192,14 @@ class NocLdpcDecoder {
   // Messages received so far, [cluster * (phase_count() + 1) + phase]:
   // one pre-sized array, reset per block without touching the heap.
   std::vector<int> received_;
+
+  // Block cache and its hit path.
+  std::vector<CachedBlock> cache_;
+  std::vector<std::int8_t> fingerprint_;  // scratch, reused per block
+  MinSumDecoder flat_;
+  DecodeResult flat_result_;
+  std::uint64_t simulated_blocks_ = 0;
+  std::uint64_t replayed_blocks_ = 0;
 };
 
 }  // namespace renoc

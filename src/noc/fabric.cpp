@@ -630,6 +630,94 @@ int Fabric::pending_send_count(int node) const {
   return static_cast<int>(ni.send_queue.size()) + staged_left;
 }
 
+// --- Block record and replay ------------------------------------------------
+
+bool Fabric::replayable() const {
+  if (degraded_ || !idle()) return false;
+  for (const std::uint64_t word : delivered_ready_)
+    if (word != 0) return false;
+  return true;
+}
+
+void Fabric::arbitration_fingerprint(std::vector<std::int8_t>& out) const {
+  RENOC_CHECK_MSG(replayable(), "an arbitration fingerprint needs an idle, "
+                                "healthy fabric with nothing unread");
+  // Asserted rather than hashed: on an idle fabric these have one value.
+  // (idle() already covers the FIFOs, NI queues and reassembly slots.)
+  for (const int c : credits_)
+    RENOC_CHECK_MSG(c == depth_, "idle fabric has a credit outstanding");
+  for (const std::int8_t owner : owner_input_)
+    RENOC_CHECK_MSG(owner < 0, "idle fabric holds a wormhole grant");
+  const std::size_t ports = rr_pointer_.size();
+  out.resize(ports + nis_.size());
+  std::copy(rr_pointer_.begin(), rr_pointer_.end(), out.begin());
+  for (std::size_t n = 0; n < nis_.size(); ++n)
+    out[ports + n] = nis_[n].enabled ? 1 : 0;
+}
+
+void Fabric::begin_record(BlockDelta& delta) {
+  RENOC_CHECK_MSG(replayable(), "a block record needs an idle, healthy "
+                                "fabric with nothing unread");
+  // Snapshot the start values; end_record turns them into increments.
+  const int n_nodes = node_count();
+  delta.tiles.resize(static_cast<std::size_t>(n_nodes));
+  for (int t = 0; t < n_nodes; ++t)
+    delta.tiles[static_cast<std::size_t>(t)] = stats_.tile(t);
+  delta.packets_delivered = stats_.packets_delivered();
+  delta.flits_delivered = stats_.flits_delivered();
+  delta.latencies.clear();
+  delta.packet_ids = next_packet_id_;
+  delta.msg_seqs.resize(nis_.size());
+  for (std::size_t n = 0; n < nis_.size(); ++n)
+    delta.msg_seqs[n] = nis_[n].next_msg_seq;
+  delta.cycles = now_;
+  delta.end_rr.clear();
+  stats_.set_latency_sink(&delta.latencies);
+}
+
+bool Fabric::end_record(BlockDelta& delta) {
+  cancel_record();
+  if (!replayable()) return false;
+  const int n_nodes = node_count();
+  for (int t = 0; t < n_nodes; ++t) {
+    TileActivity inc = stats_.tile(t);
+    inc -= delta.tiles[static_cast<std::size_t>(t)];
+    delta.tiles[static_cast<std::size_t>(t)] = inc;
+  }
+  delta.packets_delivered = stats_.packets_delivered() - delta.packets_delivered;
+  delta.flits_delivered = stats_.flits_delivered() - delta.flits_delivered;
+  // A stats clear() inside the block would break the differencing.
+  if (delta.latencies.size() != delta.packets_delivered) return false;
+  delta.cycles = now_ - delta.cycles;
+  // Every packet of the block was sent and delivered inside it, so its
+  // latency is at most the block's length: a block that fits 32 bits
+  // recorded every sample exactly.
+  if (delta.cycles > 0xffffffffULL) return false;
+  delta.packet_ids = next_packet_id_ - delta.packet_ids;
+  for (std::size_t n = 0; n < nis_.size(); ++n)
+    delta.msg_seqs[n] = nis_[n].next_msg_seq - delta.msg_seqs[n];
+  delta.end_rr.assign(rr_pointer_.begin(), rr_pointer_.end());
+  return true;
+}
+
+void Fabric::replay(const BlockDelta& delta) {
+  RENOC_CHECK_MSG(replayable(), "a block replay needs an idle, healthy "
+                                "fabric with nothing unread");
+  const int n_nodes = node_count();
+  RENOC_CHECK(delta.tiles.size() == static_cast<std::size_t>(n_nodes) &&
+              delta.msg_seqs.size() == nis_.size() &&
+              delta.end_rr.size() == rr_pointer_.size());
+  for (int t = 0; t < n_nodes; ++t)
+    stats_.tile(t) += delta.tiles[static_cast<std::size_t>(t)];
+  stats_.replay_deliveries(delta.packets_delivered, delta.flits_delivered,
+                           delta.latencies);
+  next_packet_id_ += delta.packet_ids;
+  for (std::size_t n = 0; n < nis_.size(); ++n)
+    nis_[n].next_msg_seq += delta.msg_seqs[n];
+  std::copy(delta.end_rr.begin(), delta.end_rr.end(), rr_pointer_.begin());
+  now_ += delta.cycles;
+}
+
 // --- Degraded-fabric mode ---------------------------------------------------
 
 void Fabric::enter_degraded_mode() {

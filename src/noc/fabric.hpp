@@ -88,6 +88,29 @@
 // want[] prepass and grants the first requester after the round-robin
 // pointer with a rotate + count-trailing-zeros — the same choice as the
 // reference's five-step scan (Router::arbitrate).
+//
+// --- Block record and replay ------------------------------------------------
+//
+// An idle, healthy fabric (no flit buffered, no reassembly or NI work
+// pending, nothing delivered but unread, not degraded) carries exactly one
+// piece of state that can steer the next workload's cycles: the
+// round-robin cursors rr_pointer_, plus which NIs may inject.
+// arbitration_fingerprint() returns those bytes. Everything else that
+// could matter is asserted at its idle value instead of hashed: every
+// credit at buffer_depth, every wormhole grant free, every FIFO, NI queue,
+// reassembly slot and delivered ring empty. Absolute time and packet ids
+// never steer a healthy fabric (latencies are differences, ids are only
+// compared for equality). So a deterministic workload that starts from
+// the same fingerprint runs the same cycles.
+//
+// begin_record()/end_record() capture what one such block changed as a
+// BlockDelta; replay() applies it without stepping. A replay is exact:
+// the per-tile counters, delivered counts, latency samples (re-added in
+// delivery order, so the Welford stats stay bit-identical), packet-id and
+// per-NI message-sequence advances, now() and the end round-robin state
+// all equal what simulating the block would have produced. step() is not
+// involved; skipped_cycles() does not count replayed cycles.
+//
 // --- Degraded-fabric mode ---------------------------------------------------
 //
 // install_fault_plan() / configure_delivery_guard() switch the fabric into
@@ -150,6 +173,20 @@ struct DeliveryGuardConfig {
   int backoff_shift_cap = 4;     ///< timeout << min(attempts, cap)
 
   void validate() const;
+};
+
+/// What one block changed on an idle, healthy fabric (see "Block record and
+/// replay" above). Filled by Fabric::begin_record/end_record, applied by
+/// Fabric::replay.
+struct BlockDelta {
+  std::vector<TileActivity> tiles;  ///< per-tile counter increments
+  std::uint64_t packets_delivered = 0;
+  std::uint64_t flits_delivered = 0;
+  std::vector<std::uint32_t> latencies;  ///< samples, in delivery order
+  PacketId packet_ids = 0;               ///< packet ids consumed
+  std::vector<std::uint32_t> msg_seqs;   ///< per-NI sequence advance
+  Cycle cycles = 0;                      ///< now() advance
+  std::vector<std::int8_t> end_rr;       ///< round-robin cursors at the end
 };
 
 class Fabric {
@@ -223,6 +260,33 @@ class Fabric {
 
   NetworkStats& stats() { return stats_; }
   const NetworkStats& stats() const { return stats_; }
+
+  // --- Block record and replay (see the header comment block) -----------
+
+  /// True when the fabric is idle, healthy and holds no delivered-but-unread
+  /// message: the state arbitration_fingerprint() and begin_record() need.
+  bool replayable() const;
+  /// Writes the arbitration fingerprint into `out` (reusing its capacity):
+  /// rr_pointer_ for every port, then one 0/1 injection-enabled byte per
+  /// node. Throws CheckError unless replayable(), or if a credit or a
+  /// wormhole grant is not at its idle value.
+  void arbitration_fingerprint(std::vector<std::int8_t>& out) const;
+  /// Starts recording the block about to run into `delta`: snapshots the
+  /// counters it will difference and routes latency samples into
+  /// delta.latencies. Requires replayable(). The caller must end every
+  /// record with end_record() or cancel_record(), also on an exception.
+  void begin_record(BlockDelta& delta);
+  /// Ends the record begun on `delta`. Returns true, with `delta` holding
+  /// the block's increments, when the block left the fabric replayable and
+  /// fit 2^32 cycles (so every latency sample fit its u32); false (delta
+  /// unusable) otherwise.
+  bool end_record(BlockDelta& delta);
+  /// Stops routing latency samples into a begun record.
+  void cancel_record() { stats_.set_latency_sink(nullptr); }
+  /// Applies a recorded block exactly, as if it had been simulated from the
+  /// current state. Requires replayable(); the caller guarantees the
+  /// fingerprint equals the one the block was recorded from.
+  void replay(const BlockDelta& delta);
 
   // --- Degraded-fabric mode (see the header comment block) ---------------
 

@@ -28,6 +28,7 @@ struct TileActivity {
   std::uint64_t pe_state_words = 0;    ///< migration state words converted
 
   void clear() { *this = TileActivity{}; }
+  bool operator==(const TileActivity&) const = default;
 
   TileActivity& operator+=(const TileActivity& o) {
     buffer_writes += o.buffer_writes;
@@ -39,6 +40,19 @@ struct TileActivity {
     ejected_flits += o.ejected_flits;
     pe_compute_ops += o.pe_compute_ops;
     pe_state_words += o.pe_state_words;
+    return *this;
+  }
+
+  TileActivity& operator-=(const TileActivity& o) {
+    buffer_writes -= o.buffer_writes;
+    buffer_reads -= o.buffer_reads;
+    crossbar_traversals -= o.crossbar_traversals;
+    arbitrations -= o.arbitrations;
+    link_flits -= o.link_flits;
+    injected_flits -= o.injected_flits;
+    ejected_flits -= o.ejected_flits;
+    pe_compute_ops -= o.pe_compute_ops;
+    pe_state_words -= o.pe_state_words;
     return *this;
   }
 };
@@ -59,6 +73,20 @@ class NetworkStats {
   std::uint64_t packets_delivered() const { return packets_delivered_; }
   std::uint64_t flits_delivered() const { return flits_delivered_; }
   void note_packet_delivered(int flits, Cycle latency);
+
+  /// While set, note_packet_delivered also appends each latency sample to
+  /// `sink` in delivery order, truncated to 32 bits (Fabric::begin_record
+  /// uses this to capture a block's samples, and end_record rejects a block
+  /// too long for every sample to fit). Null — no recording — by default;
+  /// clear() keeps it.
+  void set_latency_sink(std::vector<std::uint32_t>* sink) {
+    latency_sink_ = sink;
+  }
+  /// Re-applies recorded deliveries: the two counts, then every latency
+  /// sample in its recorded order, so the Welford accumulator ends
+  /// bit-identical to having seen the original deliveries.
+  void replay_deliveries(std::uint64_t packets, std::uint64_t flits,
+                         const std::vector<std::uint32_t>& latencies);
 
   // Delivery-guarantee accounting for degraded fabrics. Every message the
   // NI layer accepts resolves as exactly one of delivered / dropped /
@@ -90,6 +118,7 @@ class NetworkStats {
   std::uint64_t packets_dropped_ = 0;
   std::uint64_t packets_unreachable_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
+  std::vector<std::uint32_t>* latency_sink_ = nullptr;
 };
 
 }  // namespace renoc

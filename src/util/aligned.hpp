@@ -29,6 +29,16 @@ class AlignedVec {
                 "element size must divide the alignment");
 
   AlignedVec() = default;
+  // A copy gets its own aligned storage (a member-wise copy would leave
+  // data() pointing into the source's buffer). A move keeps the buffer, so
+  // data() stays valid.
+  AlignedVec(const AlignedVec& other) { copy_from(other); }
+  AlignedVec& operator=(const AlignedVec& other) {
+    if (this != &other) copy_from(other);
+    return *this;
+  }
+  AlignedVec(AlignedVec&&) noexcept = default;
+  AlignedVec& operator=(AlignedVec&&) noexcept = default;
 
   /// Sets the logical size to `n` with every element equal to `value`;
   /// the padding tail [n, padded_size()) is zero-filled. Re-assigning a
@@ -54,6 +64,11 @@ class AlignedVec {
   const T& operator[](std::size_t i) const { return data_[i]; }
 
  private:
+  void copy_from(const AlignedVec& other) {
+    resize_storage(other.size_);
+    for (std::size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];
+  }
+
   void resize_storage(std::size_t n) {
     size_ = n;
     padded_ = (n + kPadElems - 1) / kPadElems * kPadElems;

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -191,36 +192,94 @@ TEST(EngineAllocTest, WarmedBerBlockPipelineIsAllocationFree) {
 
 // A warmed NocLdpcDecoder::decode_block allocates exactly once per block:
 // the hard-decision vector it returns. PE runtime state, the per-phase
-// receive counts (one pre-sized array), message payloads (pool-backed) and
-// the fabric's rings are all reused, so any further allocation here is a
-// regression.
+// receive counts (one pre-sized array), message payloads (pool-backed),
+// the fabric's rings, the block cache's fingerprint scratch and the flat
+// decoder's workspace are all reused, so any further allocation here is a
+// regression. Two cases: a warmed decoder's blocks are block-cache
+// replays; and once the cache is full, blocks under a new placement are
+// simulated without recording.
+struct NocAllocBench {
+  LdpcCode code;
+  std::vector<std::int16_t> llrs;
+  Fabric fabric;
+  NocLdpcDecoder decoder;
+
+  static LdpcNocParams params() {
+    LdpcNocParams p;
+    p.iterations = 4;
+    return p;
+  }
+  static NocConfig mesh() {
+    NocConfig cfg;
+    cfg.dim = GridDim{4, 4};
+    return cfg;
+  }
+  NocAllocBench()
+      : code([] {
+          Rng code_rng(3);
+          return LdpcCode::make_regular(240, 3, 6, code_rng);
+        }()),
+        llrs([this] {
+          const LdpcEncoder encoder(code);
+          Rng rng(5);
+          std::vector<std::uint8_t> data(
+              static_cast<std::size_t>(encoder.k()));
+          for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
+          AwgnChannel channel(2.5, 0.5, rng.split());
+          return quantize_llrs(channel.transmit(encoder.encode(data)));
+        }()),
+        fabric(mesh()),
+        decoder(fabric, code, make_striped_partition(code, 16),
+                identity_permutation(16), params()) {}
+
+  /// Allocations of `blocks` decode_block calls.
+  long long count_blocks(int blocks) {
+    const AllocGuard guard;
+    for (int b = 0; b < blocks; ++b) (void)decoder.decode_block(llrs);
+    return guard.count();
+  }
+};
+
 TEST(EngineAllocTest, WarmedNocDecodeBlockAllocations) {
   RENOC_REQUIRE_INSTRUMENTED();
-  Rng code_rng(3);
-  const LdpcCode code = LdpcCode::make_regular(240, 3, 6, code_rng);
-  const LdpcEncoder encoder(code);
-  Rng rng(5);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(encoder.k()));
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(2));
-  AwgnChannel channel(2.5, 0.5, rng.split());
-  const auto llrs = quantize_llrs(channel.transmit(encoder.encode(data)));
-
-  NocConfig cfg;
-  cfg.dim = GridDim{4, 4};
-  Fabric fabric(cfg);
-  LdpcNocParams params;
-  params.iterations = 4;
-  NocLdpcDecoder decoder(fabric, code, make_striped_partition(code, 16),
-                         identity_permutation(16), params);
+  NocAllocBench nb;
   // Warm-up: payload buffers circulate through the fabric's LIFO pool, so
   // it takes several blocks until every buffer has grown to the largest
   // message size (about ten here; a block then allocates exactly once).
-  for (int b = 0; b < 12; ++b) (void)decoder.decode_block(llrs);
+  for (int b = 0; b < 12; ++b) (void)nb.decoder.decode_block(nb.llrs);
   constexpr int kBlocks = 4;
-  const AllocGuard guard;
-  for (int b = 0; b < kBlocks; ++b) (void)decoder.decode_block(llrs);
-  EXPECT_EQ(guard.count(), kBlocks) << "one allocation per block expected "
-                                       "(the returned hard_bits)";
+  const std::uint64_t replayed = nb.decoder.replayed_blocks();
+  EXPECT_EQ(nb.count_blocks(kBlocks), kBlocks)
+      << "one allocation per block expected (the returned hard_bits)";
+  EXPECT_EQ(nb.decoder.replayed_blocks(), replayed + kBlocks)
+      << "warmed blocks are block-cache replays";
+}
+
+TEST(EngineAllocTest, WarmedSimulatedNocDecodeBlockAllocations) {
+  RENOC_REQUIRE_INSTRUMENTED();
+  NocAllocBench nb;
+  // Fill the block cache: cyclic shifts of the placement, a few blocks
+  // each, until every entry is taken.
+  std::vector<int> placement(16);
+  int shift = 0;
+  while (nb.decoder.cached_blocks() < NocLdpcDecoder::kBlockCacheCap) {
+    ASSERT_LT(++shift, 16) << "ran out of placements to fill the cache";
+    for (int c = 0; c < 16; ++c)
+      placement[static_cast<std::size_t>(c)] = (c + shift) % 16;
+    nb.decoder.set_placement(placement);
+    for (int b = 0; b < 3; ++b) (void)nb.decoder.decode_block(nb.llrs);
+  }
+  // A placement the cache has never seen: every block simulates.
+  std::reverse(placement.begin(), placement.end());
+  nb.decoder.set_placement(placement);
+  for (int b = 0; b < 12; ++b) (void)nb.decoder.decode_block(nb.llrs);
+  constexpr int kBlocks = 4;
+  const std::uint64_t simulated = nb.decoder.simulated_blocks();
+  const std::uint64_t replayed = nb.decoder.replayed_blocks();
+  EXPECT_EQ(nb.count_blocks(kBlocks), kBlocks)
+      << "one allocation per block expected (the returned hard_bits)";
+  EXPECT_EQ(nb.decoder.simulated_blocks(), simulated + kBlocks);
+  EXPECT_EQ(nb.decoder.replayed_blocks(), replayed);
 }
 
 /// 4x4-tile die subdivided refine x refine (as RefinedThermalModel builds

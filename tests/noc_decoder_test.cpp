@@ -1,11 +1,14 @@
 // Tests for the NoC-distributed LDPC decoder: bit-identity with the golden
 // decoder (the central functional invariant), timing determinism,
-// placement independence of results, and activity accounting.
+// placement independence of results, activity accounting, and the block
+// cache's replay exactness (a replayed block leaves the fabric exactly as
+// simulating it would).
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "core/chip_config.hpp"
+#include "core/migration_controller.hpp"
 #include "core/transform.hpp"
 #include "ldpc/channel.hpp"
 #include "ldpc/decoder.hpp"
@@ -227,18 +230,203 @@ TEST(NocDecoderTest, RejectsBadPlacements) {
                CheckError);
 }
 
+// --- Block replay -----------------------------------------------------------
+
+/// Everything a block leaves on a fabric, compared exactly.
+void expect_same_fabric(const Fabric& a, const Fabric& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  for (int t = 0; t < a.node_count(); ++t)
+    EXPECT_TRUE(a.stats().tile(t) == b.stats().tile(t)) << "tile " << t;
+  EXPECT_EQ(a.stats().packets_delivered(), b.stats().packets_delivered());
+  EXPECT_EQ(a.stats().flits_delivered(), b.stats().flits_delivered());
+  const RunningStats& la = a.stats().packet_latency();
+  const RunningStats& lb = b.stats().packet_latency();
+  EXPECT_EQ(la.count(), lb.count());
+  EXPECT_EQ(la.mean(), lb.mean());
+  EXPECT_EQ(la.min(), lb.min());
+  EXPECT_EQ(la.max(), lb.max());
+  EXPECT_EQ(la.variance(), lb.variance());
+  EXPECT_EQ(la.sum(), lb.sum());
+  EXPECT_EQ(a.now(), b.now());
+  std::vector<std::int8_t> fa, fb;
+  a.arbitration_fingerprint(fa);
+  b.arbitration_fingerprint(fb);
+  EXPECT_EQ(fa, fb) << "end arbitration fingerprint";
+}
+
+/// Decodes one block two ways from the same fabric state: `warmed` (a
+/// replay hit) on `fabric`, and a fresh decoder (always a simulation) on a
+/// copy of it. Requires the two results and fabrics to be identical.
+void expect_hit_equals_miss(Fabric& fabric, NocLdpcDecoder& warmed,
+                            const LdpcCode& code, const Partition& partition,
+                            const LdpcNocParams& params,
+                            const std::vector<std::int16_t>& llrs) {
+  Fabric copy = fabric;
+  NocLdpcDecoder fresh(copy, code, partition, warmed.placement(), params);
+  const std::uint64_t replayed = warmed.replayed_blocks();
+  const NocDecodeResult hit = warmed.decode_block(llrs);
+  const NocDecodeResult miss = fresh.decode_block(llrs);
+  EXPECT_EQ(warmed.replayed_blocks(), replayed + 1) << "expected a hit";
+  EXPECT_EQ(fresh.simulated_blocks(), 1u);
+  EXPECT_EQ(fresh.replayed_blocks(), 0u);
+  EXPECT_EQ(hit.hard_bits, miss.hard_bits);
+  EXPECT_EQ(hit.syndrome_ok, miss.syndrome_ok);
+  EXPECT_EQ(hit.cycles, miss.cycles);
+  expect_same_fabric(fabric, copy);
+}
+
+class NocDecoderReplay : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NocDecoderReplay, HitEqualsMissAtFullScale) {
+  const ChipConfig cfg = config_by_name(GetParam());
+  const BuiltChip chip = build_chip(cfg);
+  std::vector<int> placement = identity_permutation(cfg.dim.node_count());
+  placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
+  Fabric fabric(cfg.noc);
+  NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
+                         cfg.ldpc_params);
+  // The fresh-fabric fingerprint, then the one every block settles into:
+  // two misses, after which the decoder replays.
+  for (int b = 0; b < 2; ++b) (void)decoder.decode_block(chip.channel_llrs);
+  EXPECT_EQ(decoder.simulated_blocks(), 2u);
+  EXPECT_EQ(decoder.replayed_blocks(), 0u);
+  for (int b = 0; b < 2; ++b)
+    expect_hit_equals_miss(fabric, decoder, chip.code, chip.partition,
+                           cfg.ldpc_params, chip.channel_llrs);
+  EXPECT_EQ(decoder.simulated_blocks(), 2u);
+  EXPECT_EQ(decoder.replayed_blocks(), 2u);
+  const MinSumDecoder golden(chip.code, cfg.ldpc_params.iterations);
+  EXPECT_EQ(decoder.decode_block(chip.channel_llrs).hard_bits,
+            golden.decode(chip.channel_llrs).hard_bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(ConfigsAandE, NocDecoderReplay,
+                         ::testing::Values("A", "E"),
+                         [](const ::testing::TestParamInfo<const char*>& p) {
+                           return std::string(p.param);
+                         });
+
+// A rotation orbit with real migrations between placements: set_placement
+// keeps the cache, so once the orbit has been walked, returning to each
+// placement hits, and every hit equals a fresh simulation. Different
+// channel values per block also show that a hit's bits follow the block's
+// own LLRs, not the recorded block's.
+TEST(NocDecoderReplayTest, RotationOrbitRoundTripHits) {
+  const TestBench a = make_bench(240, 7, 2.0);
+  const TestBench b = make_bench(240, 7, 0.5);
+  LdpcNocParams params;
+  params.iterations = 4;
+  const Partition partition = make_striped_partition(a.code, 16);
+  const GridDim dim{4, 4};
+  const Transform rotation = transform_of(MigrationScheme::kRotation);
+  const int orbit = orbit_length(rotation, dim);
+  ASSERT_GT(orbit, 1);
+
+  Fabric fabric(mesh(4));
+  std::vector<int> placement = identity_permutation(16);
+  NocLdpcDecoder decoder(fabric, a.code, partition, placement, params);
+  MigrationController controller(fabric, rotation);
+  std::vector<int> words(16);
+  for (int c = 0; c < 16; ++c)
+    words[static_cast<std::size_t>(c)] = decoder.migration_state_words(c);
+  const MinSumDecoder golden(a.code, params.iterations);
+
+  // Walk the orbit until the (placement, fingerprint) sequence repeats.
+  constexpr int kWarmLaps = 2;
+  for (int lap = 0; lap < kWarmLaps; ++lap)
+    for (int step = 0; step < orbit; ++step) {
+      for (const TestBench* tb : {&a, &b})
+        EXPECT_EQ(decoder.decode_block(tb->llrs).hard_bits,
+                  golden.decode(tb->llrs).hard_bits);
+      controller.migrate(placement, words);
+      decoder.set_placement(placement);
+    }
+  ASSERT_EQ(placement, identity_permutation(16)) << "orbit closed";
+  const std::uint64_t simulated = decoder.simulated_blocks();
+  EXPECT_LT(simulated, static_cast<std::uint64_t>(kWarmLaps * orbit * 2));
+
+  for (int step = 0; step < orbit; ++step) {
+    for (const TestBench* tb : {&a, &b})
+      expect_hit_equals_miss(fabric, decoder, a.code, partition, params,
+                             tb->llrs);
+    controller.migrate(placement, words);
+    decoder.set_placement(placement);
+  }
+  EXPECT_EQ(decoder.simulated_blocks(), simulated) << "a lap of pure hits";
+}
+
+// A degraded fabric never replays or records, even with a cache-sized
+// history of identical blocks.
+TEST(NocDecoderReplayTest, DegradedFabricAlwaysSimulates) {
+  const TestBench tb = make_bench();
+  LdpcNocParams params;
+  params.iterations = 4;
+  Fabric fabric(mesh(4));
+  fabric.configure_delivery_guard(DeliveryGuardConfig{});
+  NocLdpcDecoder decoder(fabric, tb.code, make_striped_partition(tb.code, 16),
+                         identity_permutation(16), params);
+  const MinSumDecoder golden(tb.code, params.iterations);
+  for (int b = 0; b < 4; ++b)
+    EXPECT_EQ(decoder.decode_block(tb.llrs).hard_bits,
+              golden.decode(tb.llrs).hard_bits);
+  EXPECT_EQ(decoder.simulated_blocks(), 4u);
+  EXPECT_EQ(decoder.replayed_blocks(), 0u);
+}
+
+// The fabric side of the contract: a fingerprint or record needs an idle,
+// healthy fabric with nothing delivered but unread.
+TEST(NocDecoderReplayTest, FabricReplayableOnlyWhenIdleHealthyAndRead) {
+  Fabric fabric(mesh(4));
+  std::vector<std::int8_t> fp;
+  EXPECT_TRUE(fabric.replayable());
+  EXPECT_NO_THROW(fabric.arbitration_fingerprint(fp));
+  EXPECT_EQ(fp.size(), 16u * kDirectionCount + 16u);
+
+  Message msg;
+  msg.src = 0;
+  msg.dst = 15;
+  msg.payload = {1, 2, 3};
+  fabric.send(msg);
+  EXPECT_FALSE(fabric.replayable());  // queued at the NI
+  fabric.drain();
+  EXPECT_FALSE(fabric.replayable());  // delivered, not yet read
+  EXPECT_THROW(fabric.arbitration_fingerprint(fp), CheckError);
+  ASSERT_TRUE(fabric.try_receive(15).has_value());
+  EXPECT_TRUE(fabric.replayable());
+
+  fabric.set_injection_enabled(3, false);
+  std::vector<std::int8_t> disabled;
+  fabric.arbitration_fingerprint(disabled);
+  fabric.arbitration_fingerprint(fp);
+  EXPECT_EQ(fp, disabled);
+  fabric.set_injection_enabled(3, true);
+  fabric.arbitration_fingerprint(fp);
+  EXPECT_NE(fp, disabled) << "NI-enabled flags are part of the key";
+
+  fabric.configure_delivery_guard(DeliveryGuardConfig{});
+  EXPECT_FALSE(fabric.replayable());
+  EXPECT_THROW(fabric.arbitration_fingerprint(fp), CheckError);
+}
+
 // Every simulated statistic of the full-scale NoC decode, pinned at values
-// recorded before the decode loop became event-driven: skipping idle
-// cycles, ready-set delivery and mask-based arbitration are host-time
-// optimizations and must not move a single count.
-struct DecodePin {
-  const char* config;
-  Cycle cycles_per_block;
+// recorded before the decode loop became event-driven (two blocks) and
+// before the block cache (four blocks, the last two replayed): skipping
+// idle cycles, ready-set delivery, mask-based arbitration and block replay
+// are host-time optimizations and must not move a single count.
+struct StatsPin {
   std::uint64_t tile_hash;  ///< every TileActivity counter of every tile
   std::uint64_t lat_count;
   double lat_mean;
   double lat_min;
   double lat_max;
+  double lat_variance;
+};
+
+struct DecodePin {
+  const char* config;
+  Cycle cycles_per_block;
+  StatsPin two_blocks;
+  StatsPin four_blocks;
 };
 
 std::uint64_t tile_activity_hash(const NetworkStats& stats) {
@@ -265,25 +453,40 @@ TEST_P(NocDecodePinned, FullScaleStatisticsAreUnchanged) {
   Fabric fabric(cfg.noc);
   NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
                          cfg.ldpc_params);
-  for (int block = 0; block < 2; ++block)
+  const auto expect_stats = [&](const StatsPin& want, int blocks) {
+    EXPECT_EQ(fabric.now(), static_cast<Cycle>(blocks) * pin.cycles_per_block);
+    const NetworkStats& stats = fabric.stats();
+    EXPECT_EQ(tile_activity_hash(stats), want.tile_hash) << blocks;
+    EXPECT_EQ(stats.packet_latency().count(), want.lat_count) << blocks;
+    EXPECT_EQ(stats.packet_latency().mean(), want.lat_mean) << blocks;
+    EXPECT_EQ(stats.packet_latency().min(), want.lat_min) << blocks;
+    EXPECT_EQ(stats.packet_latency().max(), want.lat_max) << blocks;
+    EXPECT_EQ(stats.packet_latency().variance(), want.lat_variance) << blocks;
+  };
+  for (int block = 0; block < 4; ++block) {
     EXPECT_EQ(decoder.decode_block(chip.channel_llrs).cycles,
               pin.cycles_per_block)
         << "block " << block;
-  EXPECT_EQ(fabric.now(), 2 * pin.cycles_per_block);
-  const NetworkStats& stats = fabric.stats();
-  EXPECT_EQ(tile_activity_hash(stats), pin.tile_hash);
-  EXPECT_EQ(stats.packet_latency().count(), pin.lat_count);
-  EXPECT_EQ(stats.packet_latency().mean(), pin.lat_mean);
-  EXPECT_EQ(stats.packet_latency().min(), pin.lat_min);
-  EXPECT_EQ(stats.packet_latency().max(), pin.lat_max);
+    if (block == 1) expect_stats(pin.two_blocks, 2);
+  }
+  expect_stats(pin.four_blocks, 4);
+  EXPECT_EQ(decoder.simulated_blocks(), 2u);
+  EXPECT_EQ(decoder.replayed_blocks(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigsAandE, NocDecodePinned,
-    ::testing::Values(DecodePin{"A", 54103, 5481769116214745883ULL, 14952,
-                                0x1.3879a17d543eap+4, 2.0, 395.0},
-                      DecodePin{"E", 55780, 15686885616382683543ULL, 38016,
-                                0x1.58490cede6249p+4, 4.0, 198.0}),
+    ::testing::Values(
+        DecodePin{"A", 54103,
+                  {5481769116214745883ULL, 14952, 0x1.3879a17d543eap+4, 2.0,
+                   395.0, 0x1.16b63102e1dd6p+9},
+                  {9774665239947486278ULL, 29904, 0x1.3879a17d543d1p+4, 2.0,
+                   395.0, 0x1.16b3ce2e68087p+9}},
+        DecodePin{"E", 55780,
+                  {15686885616382683543ULL, 38016, 0x1.58490cede6249p+4, 4.0,
+                   198.0, 0x1.cffd4e1a5513ep+7},
+                  {5674609019395924368ULL, 76032, 0x1.58490cede625ep+4, 4.0,
+                   198.0, 0x1.cffbbe2919896p+7}}),
     [](const ::testing::TestParamInfo<DecodePin>& param) {
       return std::string(param.param.config);
     });

@@ -85,6 +85,31 @@ TEST(AlignedVec, AlignmentSizesAndZeroTail) {
   for (std::size_t i = 0; i < d.padded_size(); ++i) EXPECT_EQ(d.data()[i], 0.0);
 }
 
+// A copy owns its own aligned buffer: writes to it never reach the source
+// (Fabric copies rely on this for their SIMD mirrors).
+TEST(AlignedVec, CopyOwnsItsStorage) {
+  AlignedVec<int> a;
+  a.assign(5, 3);
+  AlignedVec<int> b(a);
+  AlignedVec<int> c;
+  c = a;
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_NE(c.data(), a.data());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 64, 0u);
+  EXPECT_EQ(b.size(), 5u);
+  EXPECT_EQ(b.padded_size(), a.padded_size());
+  b[0] = 9;
+  c[1] = 8;
+  EXPECT_EQ(a[0], 3);
+  EXPECT_EQ(a[1], 3);
+  for (std::size_t i = 5; i < b.padded_size(); ++i) EXPECT_EQ(b.data()[i], 0);
+
+  const int* buffer = a.data();
+  AlignedVec<int> moved(std::move(a));
+  EXPECT_EQ(moved.data(), buffer);
+  EXPECT_EQ(moved[2], 3);
+}
+
 // --- Batched LDPC decode ----------------------------------------------------
 
 std::vector<std::int16_t> noisy_block(const LdpcCode& code, double ebn0_db,

@@ -33,6 +33,21 @@ TEST(ReconfigurableSystemTest, MigrationPreservesDecodeFunction) {
   EXPECT_GT(res.migration_cycles, 0u);
 }
 
+// Blocks whose (placement, fabric fingerprint) repeats are replayed from
+// the decoder's block cache; each placement's first blocks are simulated.
+TEST(ReconfigurableSystemTest, RepeatedBlocksReplayAndMatchGolden) {
+  ReconfigurableLdpcSystem system(fast_config(), MigrationScheme::kRotation);
+  const StreamResult res = system.run_stream(16, 8);
+  EXPECT_TRUE(res.all_blocks_match_golden);
+  EXPECT_EQ(res.migrations, 1);
+  EXPECT_GT(res.replayed_blocks, 0);
+  EXPECT_LT(res.replayed_blocks, res.blocks);
+  // A second stream revisits the same keys: every block replays.
+  const StreamResult again = system.run_stream(8, 0);
+  EXPECT_TRUE(again.all_blocks_match_golden);
+  EXPECT_EQ(again.replayed_blocks, again.blocks);
+}
+
 TEST(ReconfigurableSystemTest, FourRotationsReturnHome) {
   ReconfigurableLdpcSystem system(fast_config(), MigrationScheme::kRotation);
   const StreamResult res = system.run_stream(5, 1);  // 4 migrations
