@@ -1,9 +1,10 @@
 // Times NocLdpcDecoder::decode_block both ways its block cache can run a
 // block, for the self-timing benches (micro_noc, micro_ldpc).
 //
-// A decoder replays a block whose (placement, arbitration fingerprint) it
-// has simulated before, so timing a warmed decoder would time replays. The
-// two columns are therefore measured separately:
+// A decoder replays a block whose (placement, arbitration fingerprint) its
+// block cache holds, so timing a warmed decoder would time replays. The
+// two columns are therefore measured separately, each decoder with a
+// private cache (a shared one would carry what the process decoded before):
 //   simulated  a fresh decoder (empty cache: always a miss) on a copy of a
 //              settled fabric, simulating the block cycle by cycle; the
 //              copy and the decoder are built outside the timed region
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -41,7 +43,8 @@ inline NocDecodeTiming time_noc_decode(const NocConfig& noc,
                                        const std::vector<std::int16_t>& llrs,
                                        double budget_ms) {
   Fabric fabric(noc);
-  NocLdpcDecoder warmed(fabric, code, partition, placement, params);
+  NocLdpcDecoder warmed(fabric, code, partition, placement, params,
+                        std::make_shared<BlockCache>());
   // Warm until a block replays: from then on the fabric cycles through
   // fingerprints the decoder has all recorded (the fresh-fabric one and the
   // one or few the blocks settle into are each simulated once).
@@ -60,7 +63,8 @@ inline NocDecodeTiming time_noc_decode(const NocConfig& noc,
       [&] {
         sim.reset();
         sim_fabric.emplace(fabric);
-        sim.emplace(*sim_fabric, code, partition, placement, params);
+        sim.emplace(*sim_fabric, code, partition, placement, params,
+                    std::make_shared<BlockCache>());
       },
       [&] { simulated = sim->decode_block(llrs); });
   t.cycles = simulated.cycles;

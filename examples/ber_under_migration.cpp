@@ -10,7 +10,8 @@
 // error counts, while also reporting decoded throughput with and without
 // migration.
 //
-// Each decoder replays blocks from its block cache once a (placement,
+// The decoders below have equal inputs, so they share one block cache
+// (across Eb/N0 points too) and replay a block once its (placement,
 // arbitration fingerprint) repeats (see ldpc/noc_decoder.hpp); a replayed
 // block's bits come from the flat min-sum decoder. So the plain decoder
 // below mostly checks the flat decoder against the golden sweep. The proof

@@ -30,7 +30,10 @@ struct StreamResult {
   double throughput_penalty = 0.0;  ///< migration_cycles / total_cycles
   bool all_blocks_match_golden = false;
   /// Blocks the decoder replayed from its block cache; the rest were
-  /// simulated cycle by cycle (see ldpc/noc_decoder.hpp).
+  /// simulated cycle by cycle (see ldpc/noc_decoder.hpp). The cache is
+  /// shared with every decoder of equal inputs, so this depends on what
+  /// the process decoded before with this configuration; it is a host-side
+  /// diagnostic that no record, digest or golden reads.
   int replayed_blocks = 0;
   std::vector<int> final_placement;
 };

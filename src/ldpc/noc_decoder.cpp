@@ -20,6 +20,68 @@ int tag_src(std::uint64_t tag) {
 
 }  // namespace
 
+// --- Block cache and its registry -------------------------------------------
+
+bool BlockCache::bind(const Inputs& inputs) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!inputs_) inputs_ = inputs;
+  return *inputs_ == inputs;
+}
+
+std::size_t BlockCache::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
+
+std::shared_ptr<const BlockDelta> BlockCache::find(
+    const std::vector<int>& placement,
+    const std::vector<std::int8_t>& fingerprint) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Entry& entry : entries_)
+    if (entry.fingerprint == fingerprint && entry.placement == placement)
+      return entry.delta;
+  return nullptr;
+}
+
+void BlockCache::insert(Entry entry) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (entries_.size() >= NocLdpcDecoder::kBlockCacheCap) return;
+  for (const Entry& e : entries_)
+    if (e.fingerprint == entry.fingerprint && e.placement == entry.placement)
+      return;
+  entries_.push_back(std::move(entry));
+}
+
+std::shared_ptr<BlockCache> BlockCache::shared_for(const Inputs& inputs) {
+  // Weak references to every live shared cache, plus a strong one to the
+  // cache handed out last (see "Block replay" in the header).
+  static std::mutex mutex;
+  static std::vector<std::weak_ptr<BlockCache>> live;
+  static std::shared_ptr<BlockCache> recent;
+
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::erase_if(live, [](const std::weak_ptr<BlockCache>& weak) {
+    return weak.expired();
+  });
+  std::shared_ptr<BlockCache> found;
+  for (const std::weak_ptr<BlockCache>& weak : live) {
+    std::shared_ptr<BlockCache> cache = weak.lock();
+    if (cache && cache->bind(inputs)) {
+      found = std::move(cache);
+      break;
+    }
+  }
+  if (!found) {
+    found = std::make_shared<BlockCache>();
+    found->bind(inputs);
+    live.push_back(found);
+  }
+  recent = found;
+  return found;
+}
+
+// --- Decoder -----------------------------------------------------------------
+
 void LdpcNocParams::validate() const {
   RENOC_CHECK(iterations >= 1);
   RENOC_CHECK(values_per_word >= 1 && values_per_word <= 4);
@@ -31,7 +93,8 @@ void LdpcNocParams::validate() const {
 NocLdpcDecoder::NocLdpcDecoder(Fabric& fabric, const LdpcCode& code,
                                Partition partition,
                                std::vector<int> placement,
-                               LdpcNocParams params)
+                               LdpcNocParams params,
+                               std::shared_ptr<BlockCache> cache)
     : fabric_(&fabric),
       code_(&code),
       partition_(std::move(partition)),
@@ -49,6 +112,22 @@ NocLdpcDecoder::NocLdpcDecoder(Fabric& fabric, const LdpcCode& code,
   runtime_.resize(static_cast<std::size_t>(cluster_count()));
   received_.resize(static_cast<std::size_t>(cluster_count()) *
                    static_cast<std::size_t>(phase_count() + 1));
+  // The check side and n fix every edge's (check, variable) pair, hence
+  // the variable side too.
+  const BlockCache::Inputs inputs{code.n(),
+                                  code.check_offsets(),
+                                  code.check_neighbors(),
+                                  code.check_edge_ids(),
+                                  partition_,
+                                  params_,
+                                  fabric.config()};
+  if (cache) {
+    RENOC_CHECK_MSG(cache->bind(inputs),
+                    "block cache is bound to other decoder inputs");
+    cache_ = std::move(cache);
+  } else {
+    cache_ = BlockCache::shared_for(inputs);
+  }
 }
 
 void NocLdpcDecoder::set_placement(const std::vector<int>& placement) {
@@ -316,13 +395,15 @@ NocDecodeResult NocLdpcDecoder::decode_block(
   if (!fabric_->replayable()) return simulate_block(channel_llrs);
 
   fabric_->arbitration_fingerprint(fingerprint_);
-  for (const CachedBlock& entry : cache_)
-    if (entry.fingerprint == fingerprint_ && entry.placement == placement_)
-      return replay_block(entry.delta, channel_llrs);
-  if (cache_.size() == kBlockCacheCap) return simulate_block(channel_llrs);
+  // The entry stays alive through this pointer copy while it replays
+  // outside the cache's lock.
+  if (const std::shared_ptr<const BlockDelta> hit =
+          cache_->find(placement_, fingerprint_))
+    return replay_block(*hit, channel_llrs);
+  if (cache_->size() >= kBlockCacheCap) return simulate_block(channel_llrs);
 
-  CachedBlock entry{placement_, fingerprint_, {}};
-  fabric_->begin_record(entry.delta);
+  BlockDelta delta;
+  fabric_->begin_record(delta);
   NocDecodeResult result;
   try {
     result = simulate_block(channel_llrs);
@@ -330,9 +411,11 @@ NocDecodeResult NocLdpcDecoder::decode_block(
     fabric_->cancel_record();
     throw;
   }
-  if (fabric_->end_record(entry.delta)) {
-    RENOC_CHECK(entry.delta.cycles == result.cycles);
-    cache_.push_back(std::move(entry));
+  if (fabric_->end_record(delta)) {
+    RENOC_CHECK(delta.cycles == result.cycles);
+    delta.latencies.shrink_to_fit();  // held for the cache's lifetime
+    cache_->insert({placement_, fingerprint_,
+                    std::make_shared<const BlockDelta>(std::move(delta))});
   }
   return result;
 }

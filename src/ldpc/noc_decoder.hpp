@@ -32,14 +32,14 @@
 // would produce (tests/noc_decoder_test.cpp pins them).
 //
 // Block replay. Because timing is value-independent, a block's whole effect
-// on the fabric is a function of this decoder (code, partition, params),
-// its placement, and the idle fabric's arbitration fingerprint
-// (Fabric::arbitration_fingerprint: the round-robin cursors and NI-enabled
-// flags; credits, grants and buffers are asserted idle, not hashed). Each
-// decoder therefore keeps a small block cache keyed by (placement,
-// fingerprint), holding at most kBlockCacheCap entries; once it is full, new
-// keys simply miss. set_placement() keeps it, because migration orbits
-// revisit placements.
+// on the fabric is a function of the decoder's inputs (code structure,
+// partition, LdpcNocParams, NocConfig), its placement, and the idle
+// fabric's arbitration fingerprint (Fabric::arbitration_fingerprint: the
+// round-robin cursors and NI-enabled flags; credits, grants and buffers
+// are asserted idle, not hashed). Decoders therefore keep recorded blocks
+// in a BlockCache keyed by (placement, fingerprint), holding at most
+// kBlockCacheCap entries; once it is full, new keys simply miss.
+// set_placement() keeps it, because migration orbits revisit placements.
 //   - A miss simulates the block as described above and records its
 //     BlockDelta (noc/fabric.hpp: counters, deliveries and latency
 //     samples, packet ids, cycles, end cursors) under the key.
@@ -50,11 +50,29 @@
 //     always misses and records nothing.
 // The fabric ends a hit exactly as it would end the simulated block; the
 // NocDecoderReplay tests prove it counter by counter, and every distinct
-// key is simulated (and, in run_stream, golden-checked) once. A fresh
-// decoder is the "always simulate" path; nothing else switches the cache.
+// key is simulated (and, in run_stream, golden-checked) once.
+//
+// One cache serves every live decoder with equal inputs. A decoder built
+// without a cache takes it from a process-wide registry, which compares
+// the inputs exactly on content (never on addresses or a hash): the code's
+// n and check-side CSR arrays (which determine the variable side), every
+// Partition, LdpcNocParams and NocConfig field. The registry holds weak
+// references to the live caches plus one strong reference, to the cache it
+// handed out last, so consecutive decoders of one configuration (the
+// streams of a period study) share a cache even when their lifetimes do
+// not overlap, and building the next configuration's decoder frees the old
+// one once no decoder uses it. Entries are immutable after recording: a
+// hit copies the entry's pointer under the cache's lock and replays
+// outside it, so decoders on different threads share a cache safely.
+// Passing a fresh BlockCache to the constructor gives a decoder a private
+// cache (the always-simulate oracle of the tests and benches); nothing
+// else switches the cache.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "ldpc/code.hpp"
@@ -73,6 +91,7 @@ struct LdpcNocParams {
   std::uint64_t max_cycles_per_block = 5'000'000;  ///< deadlock guard
 
   void validate() const;
+  bool operator==(const LdpcNocParams&) const = default;
 };
 
 struct NocDecodeResult {
@@ -81,13 +100,68 @@ struct NocDecodeResult {
   Cycle cycles = 0;  ///< block latency in fabric cycles
 };
 
+/// Recorded blocks shared by the decoders of equal inputs (see "Block
+/// replay" above). A default-constructed cache is unbound: the first
+/// decoder given it binds it to its inputs, and a decoder with other
+/// inputs is refused (CheckError). Thread-safe.
+class BlockCache {
+ public:
+  BlockCache() = default;
+  BlockCache(const BlockCache&) = delete;
+  BlockCache& operator=(const BlockCache&) = delete;
+
+ private:
+  friend class NocLdpcDecoder;
+
+  /// The decoder inputs the cache's blocks were recorded under, copied.
+  struct Inputs {
+    int n = 0;
+    std::vector<int> check_offsets;
+    std::vector<int> check_neighbors;
+    std::vector<int> check_edge_ids;
+    Partition partition;
+    LdpcNocParams params;
+    NocConfig noc;
+
+    bool operator==(const Inputs&) const = default;
+  };
+
+  struct Entry {
+    std::vector<int> placement;
+    std::vector<std::int8_t> fingerprint;
+    std::shared_ptr<const BlockDelta> delta;
+  };
+
+  /// The registry's cache for these inputs, created if no live one has
+  /// them (defined with the registry in noc_decoder.cpp).
+  static std::shared_ptr<BlockCache> shared_for(const Inputs& inputs);
+  /// Binds an unbound cache to these inputs. Returns whether the cache's
+  /// inputs now equal them.
+  bool bind(const Inputs& inputs);
+  /// The recorded block for (placement, fingerprint), or null.
+  std::shared_ptr<const BlockDelta> find(
+      const std::vector<int>& placement,
+      const std::vector<std::int8_t>& fingerprint) const;
+  /// Entries recorded so far (at most NocLdpcDecoder::kBlockCacheCap).
+  std::size_t size() const;
+  /// Adds an entry unless the cache is full or already holds its key (a
+  /// decoder on another thread may have recorded it meanwhile).
+  void insert(Entry entry);
+
+  mutable std::mutex mutex_;
+  std::optional<Inputs> inputs_;  ///< empty until bound
+  std::vector<Entry> entries_;
+};
+
 class NocLdpcDecoder {
  public:
   /// `placement[cluster]` is the tile hosting that cluster; it must be an
   /// injective map into the fabric's nodes. Cluster count must not exceed
-  /// the node count.
+  /// the node count. A null `cache` takes the registry's cache for these
+  /// inputs; a given one must be unbound or bound to equal inputs.
   NocLdpcDecoder(Fabric& fabric, const LdpcCode& code, Partition partition,
-                 std::vector<int> placement, LdpcNocParams params = {});
+                 std::vector<int> placement, LdpcNocParams params = {},
+                 std::shared_ptr<BlockCache> cache = nullptr);
 
   /// Re-homes clusters onto new tiles (runtime reconfiguration). Must not
   /// be called mid-block.
@@ -98,15 +172,19 @@ class NocLdpcDecoder {
   /// a cached block with the same placement and fingerprint; see above).
   NocDecodeResult decode_block(const std::vector<std::int16_t>& channel_llrs);
 
-  /// Blocks decode_block simulated cycle by cycle / replayed from the block
-  /// cache since construction. Deterministic for a given call sequence.
+  /// Blocks this decoder simulated cycle by cycle / replayed from the
+  /// block cache since construction. With a shared cache they depend on
+  /// what the process decoded before with equal inputs (and, across
+  /// threads, on timing), so they are host-side diagnostics: no record,
+  /// digest or golden reads them. A private cache makes them a function
+  /// of this decoder's own call sequence.
   std::uint64_t simulated_blocks() const { return simulated_blocks_; }
   std::uint64_t replayed_blocks() const { return replayed_blocks_; }
 
-  /// Block-cache entries per decoder (a few per placement of an orbit).
+  /// Block-cache entries per cache (a few per placement of an orbit).
   static constexpr std::size_t kBlockCacheCap = 16;
-  /// Entries recorded so far (at most kBlockCacheCap).
-  std::size_t cached_blocks() const { return cache_.size(); }
+  /// Entries the decoder's cache holds (at most kBlockCacheCap).
+  std::size_t cached_blocks() const { return cache_->size(); }
 
   int cluster_count() const { return partition_.cluster_count; }
   const Partition& partition() const { return partition_; }
@@ -124,12 +202,6 @@ class NocLdpcDecoder {
   // Phase indices: iteration i contributes phases 2i (VN) and 2i+1 (CN);
   // phase 2*iterations is the final hard-decision phase.
   int phase_count() const { return 2 * params_.iterations + 1; }
-
-  struct CachedBlock {
-    std::vector<int> placement;
-    std::vector<std::int8_t> fingerprint;
-    BlockDelta delta;
-  };
 
   enum class PeState { kWaiting, kComputing, kDone };
 
@@ -194,7 +266,7 @@ class NocLdpcDecoder {
   std::vector<int> received_;
 
   // Block cache and its hit path.
-  std::vector<CachedBlock> cache_;
+  std::shared_ptr<BlockCache> cache_;
   std::vector<std::int8_t> fingerprint_;  // scratch, reused per block
   MinSumDecoder flat_;
   DecodeResult flat_result_;

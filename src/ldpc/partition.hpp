@@ -21,6 +21,7 @@ struct Partition {
   std::vector<int> cn_owner;  ///< size m: cluster owning each check
 
   void validate(const LdpcCode& code) const;
+  bool operator==(const Partition&) const = default;
 };
 
 /// Contiguous striping with per-cluster weights (largest-remainder

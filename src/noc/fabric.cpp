@@ -686,13 +686,10 @@ bool Fabric::end_record(BlockDelta& delta) {
   }
   delta.packets_delivered = stats_.packets_delivered() - delta.packets_delivered;
   delta.flits_delivered = stats_.flits_delivered() - delta.flits_delivered;
-  // A stats clear() inside the block would break the differencing.
+  // A sample over 16 bits was not recorded, and a stats clear() inside the
+  // block would break the differencing: either leaves the counts unequal.
   if (delta.latencies.size() != delta.packets_delivered) return false;
   delta.cycles = now_ - delta.cycles;
-  // Every packet of the block was sent and delivered inside it, so its
-  // latency is at most the block's length: a block that fits 32 bits
-  // recorded every sample exactly.
-  if (delta.cycles > 0xffffffffULL) return false;
   delta.packet_ids = next_packet_id_ - delta.packet_ids;
   for (std::size_t n = 0; n < nis_.size(); ++n)
     delta.msg_seqs[n] = nis_[n].next_msg_seq - delta.msg_seqs[n];

@@ -163,6 +163,7 @@ struct NocConfig {
   double clock_hz = 500e6;   ///< used to convert cycles to seconds
 
   void validate() const;
+  bool operator==(const NocConfig&) const = default;
 };
 
 /// End-to-end delivery-guarantee parameters for degraded mode.
@@ -182,7 +183,9 @@ struct BlockDelta {
   std::vector<TileActivity> tiles;  ///< per-tile counter increments
   std::uint64_t packets_delivered = 0;
   std::uint64_t flits_delivered = 0;
-  std::vector<std::uint32_t> latencies;  ///< samples, in delivery order
+  /// Latency samples in delivery order. A recorded block has one per
+  /// delivery, so every sample fit 16 bits (see set_latency_sink).
+  std::vector<std::uint16_t> latencies;
   PacketId packet_ids = 0;               ///< packet ids consumed
   std::vector<std::uint32_t> msg_seqs;   ///< per-NI sequence advance
   Cycle cycles = 0;                      ///< now() advance
@@ -278,8 +281,9 @@ class Fabric {
   void begin_record(BlockDelta& delta);
   /// Ends the record begun on `delta`. Returns true, with `delta` holding
   /// the block's increments, when the block left the fabric replayable and
-  /// fit 2^32 cycles (so every latency sample fit its u32); false (delta
-  /// unusable) otherwise.
+  /// recorded one latency sample per delivery (so no sample exceeded 16
+  /// bits and no stats clear() intervened); false (delta unusable)
+  /// otherwise.
   bool end_record(BlockDelta& delta);
   /// Stops routing latency samples into a begun record.
   void cancel_record() { stats_.set_latency_sink(nullptr); }

@@ -23,17 +23,17 @@ void NetworkStats::note_packet_delivered(int flits, Cycle latency) {
   ++packets_delivered_;
   flits_delivered_ += static_cast<std::uint64_t>(flits);
   packet_latency_.add(static_cast<double>(latency));
-  if (latency_sink_ != nullptr)
-    latency_sink_->push_back(static_cast<std::uint32_t>(latency));
+  if (latency_sink_ != nullptr && latency <= 0xffffU)
+    latency_sink_->push_back(static_cast<std::uint16_t>(latency));
 }
 
 void NetworkStats::replay_deliveries(
     std::uint64_t packets, std::uint64_t flits,
-    const std::vector<std::uint32_t>& latencies) {
+    const std::vector<std::uint16_t>& latencies) {
   RENOC_CHECK(latencies.size() == packets);
   packets_delivered_ += packets;
   flits_delivered_ += flits;
-  for (const std::uint32_t sample : latencies)
+  for (const std::uint16_t sample : latencies)
     packet_latency_.add(static_cast<double>(sample));
 }
 

@@ -74,19 +74,20 @@ class NetworkStats {
   std::uint64_t flits_delivered() const { return flits_delivered_; }
   void note_packet_delivered(int flits, Cycle latency);
 
-  /// While set, note_packet_delivered also appends each latency sample to
-  /// `sink` in delivery order, truncated to 32 bits (Fabric::begin_record
-  /// uses this to capture a block's samples, and end_record rejects a block
-  /// too long for every sample to fit). Null — no recording — by default;
-  /// clear() keeps it.
-  void set_latency_sink(std::vector<std::uint32_t>* sink) {
+  /// While set, note_packet_delivered also appends each latency sample
+  /// that fits 16 bits to `sink`, in delivery order, and skips a larger one
+  /// (Fabric::begin_record uses this to capture a block's samples; a
+  /// skipped sample leaves fewer samples than deliveries, so end_record
+  /// refuses that block). Null — no recording — by default; clear() keeps
+  /// it.
+  void set_latency_sink(std::vector<std::uint16_t>* sink) {
     latency_sink_ = sink;
   }
   /// Re-applies recorded deliveries: the two counts, then every latency
   /// sample in its recorded order, so the Welford accumulator ends
   /// bit-identical to having seen the original deliveries.
   void replay_deliveries(std::uint64_t packets, std::uint64_t flits,
-                         const std::vector<std::uint32_t>& latencies);
+                         const std::vector<std::uint16_t>& latencies);
 
   // Delivery-guarantee accounting for degraded fabrics. Every message the
   // NI layer accepts resolves as exactly one of delivered / dropped /
@@ -118,7 +119,7 @@ class NetworkStats {
   std::uint64_t packets_dropped_ = 0;
   std::uint64_t packets_unreachable_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
-  std::vector<std::uint32_t>* latency_sink_ = nullptr;
+  std::vector<std::uint16_t>* latency_sink_ = nullptr;
 };
 
 }  // namespace renoc

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -197,7 +198,8 @@ TEST(EngineAllocTest, WarmedBerBlockPipelineIsAllocationFree) {
 // decoder's workspace are all reused, so any further allocation here is a
 // regression. Two cases: a warmed decoder's blocks are block-cache
 // replays; and once the cache is full, blocks under a new placement are
-// simulated without recording.
+// simulated without recording. The decoder has a private cache, so its
+// counts do not depend on what other tests of this process decoded.
 struct NocAllocBench {
   LdpcCode code;
   std::vector<std::int16_t> llrs;
@@ -230,7 +232,8 @@ struct NocAllocBench {
         }()),
         fabric(mesh()),
         decoder(fabric, code, make_striped_partition(code, 16),
-                identity_permutation(16), params()) {}
+                identity_permutation(16), params(),
+                std::make_shared<BlockCache>()) {}
 
   /// Allocations of `blocks` decode_block calls.
   long long count_blocks(int blocks) {

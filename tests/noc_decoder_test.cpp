@@ -5,7 +5,10 @@
 // simulating it would).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <optional>
+#include <thread>
 
 #include "core/chip_config.hpp"
 #include "core/migration_controller.hpp"
@@ -255,14 +258,16 @@ void expect_same_fabric(const Fabric& a, const Fabric& b) {
 }
 
 /// Decodes one block two ways from the same fabric state: `warmed` (a
-/// replay hit) on `fabric`, and a fresh decoder (always a simulation) on a
-/// copy of it. Requires the two results and fabrics to be identical.
+/// replay hit) on `fabric`, and a fresh decoder with a private cache
+/// (always a simulation) on a copy of it. Requires the two results and
+/// fabrics to be identical.
 void expect_hit_equals_miss(Fabric& fabric, NocLdpcDecoder& warmed,
                             const LdpcCode& code, const Partition& partition,
                             const LdpcNocParams& params,
                             const std::vector<std::int16_t>& llrs) {
   Fabric copy = fabric;
-  NocLdpcDecoder fresh(copy, code, partition, warmed.placement(), params);
+  NocLdpcDecoder fresh(copy, code, partition, warmed.placement(), params,
+                       std::make_shared<BlockCache>());
   const std::uint64_t replayed = warmed.replayed_blocks();
   const NocDecodeResult hit = warmed.decode_block(llrs);
   const NocDecodeResult miss = fresh.decode_block(llrs);
@@ -364,7 +369,8 @@ TEST(NocDecoderReplayTest, DegradedFabricAlwaysSimulates) {
   Fabric fabric(mesh(4));
   fabric.configure_delivery_guard(DeliveryGuardConfig{});
   NocLdpcDecoder decoder(fabric, tb.code, make_striped_partition(tb.code, 16),
-                         identity_permutation(16), params);
+                         identity_permutation(16), params,
+                         std::make_shared<BlockCache>());
   const MinSumDecoder golden(tb.code, params.iterations);
   for (int b = 0; b < 4; ++b)
     EXPECT_EQ(decoder.decode_block(tb.llrs).hard_bits,
@@ -406,6 +412,163 @@ TEST(NocDecoderReplayTest, FabricReplayableOnlyWhenIdleHealthyAndRead) {
   fabric.configure_delivery_guard(DeliveryGuardConfig{});
   EXPECT_FALSE(fabric.replayable());
   EXPECT_THROW(fabric.arbitration_fingerprint(fp), CheckError);
+}
+
+// Recorded latency samples are u16: a larger sample is not recorded, so a
+// record that spans one has fewer samples than deliveries and is refused.
+TEST(NocDecoderReplayTest, LatencySampleOver16BitsRefusesTheRecord) {
+  NetworkStats stats(4);
+  std::vector<std::uint16_t> sink;
+  stats.set_latency_sink(&sink);
+  stats.note_packet_delivered(2, 65535);
+  EXPECT_EQ(sink, std::vector<std::uint16_t>{65535});
+  stats.note_packet_delivered(2, 70000);
+  EXPECT_EQ(sink, std::vector<std::uint16_t>{65535}) << "sink unchanged";
+  EXPECT_EQ(stats.packets_delivered(), 2u);
+  EXPECT_EQ(stats.packet_latency().max(), 70000.0);
+
+  Fabric fabric(mesh(4));
+  BlockDelta delta;
+  fabric.begin_record(delta);
+  fabric.stats().note_packet_delivered(1, 70000);
+  EXPECT_FALSE(fabric.end_record(delta));
+  fabric.begin_record(delta);
+  fabric.stats().note_packet_delivered(1, 65535);
+  ASSERT_TRUE(fabric.end_record(delta));
+  EXPECT_EQ(delta.latencies, std::vector<std::uint16_t>{65535});
+}
+
+// --- Block caches shared across decoders ------------------------------------
+
+// The system tests' scaled-down configuration A.
+ChipConfig fast_config() {
+  ChipConfig cfg = config_A();
+  cfg.workload.code_n = 510;
+  cfg.ldpc_params.iterations = 4;
+  return cfg;
+}
+
+/// A decoder of `chip` at the identity placement.
+NocLdpcDecoder chip_decoder(Fabric& fabric, const BuiltChip& chip,
+                            const LdpcNocParams& params,
+                            std::shared_ptr<BlockCache> cache = nullptr) {
+  std::vector<int> placement = identity_permutation(fabric.node_count());
+  placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
+  return NocLdpcDecoder(fabric, chip.code, chip.partition, placement, params,
+                        std::move(cache));
+}
+
+// Equal inputs at different addresses share one cache: the second
+// decoder's first block replays what the first one recorded, exactly.
+TEST(NocDecoderSharedCacheTest, TwoBuildsOfOneConfigShare) {
+  const ChipConfig cfg = fast_config();
+  const BuiltChip first = build_chip(cfg);
+  const BuiltChip second = build_chip(cfg);
+  Fabric f1(cfg.noc);
+  NocLdpcDecoder d1 = chip_decoder(f1, first, cfg.ldpc_params);
+  (void)d1.decode_block(first.channel_llrs);
+
+  Fabric f2(cfg.noc);
+  NocLdpcDecoder d2 = chip_decoder(f2, second, cfg.ldpc_params);
+  EXPECT_GE(d2.cached_blocks(), 1u);
+  expect_hit_equals_miss(f2, d2, second.code, second.partition,
+                         cfg.ldpc_params, second.channel_llrs);
+  EXPECT_EQ(d2.simulated_blocks(), 0u);
+  EXPECT_EQ(d2.replayed_blocks(), 1u);
+}
+
+// Any input difference keeps the caches apart: each variant's first block
+// (same placement, same fresh-fabric fingerprint as the recorded one) is
+// simulated.
+TEST(NocDecoderSharedCacheTest, DifferentInputsNeverShare) {
+  const ChipConfig base = fast_config();
+  const BuiltChip base_chip = build_chip(base);
+  Fabric base_fabric(base.noc);
+  NocLdpcDecoder base_decoder =
+      chip_decoder(base_fabric, base_chip, base.ldpc_params);
+  (void)base_decoder.decode_block(base_chip.channel_llrs);
+  ASSERT_GE(base_decoder.cached_blocks(), 1u);
+
+  const char* const kVariants[] = {"code_seed", "vn_owner",
+                                   "phase_overhead_cycles", "buffer_depth"};
+  for (int v = 0; v < 4; ++v) {
+    ChipConfig cfg = base;
+    if (v == 0) cfg.workload.code_seed += 1;
+    if (v == 2) cfg.ldpc_params.phase_overhead_cycles += 1;
+    if (v == 3) cfg.noc.buffer_depth += 1;
+    BuiltChip chip = build_chip(cfg);
+    if (v == 1) {
+      int& owner = chip.partition.vn_owner[0];
+      owner = (owner + 1) % chip.partition.cluster_count;
+    }
+    Fabric fabric(cfg.noc);
+    NocLdpcDecoder decoder = chip_decoder(fabric, chip, cfg.ldpc_params);
+    EXPECT_EQ(decoder.cached_blocks(), 0u) << kVariants[v];
+    const NocDecodeResult res = decoder.decode_block(chip.channel_llrs);
+    EXPECT_EQ(decoder.simulated_blocks(), 1u) << kVariants[v];
+    EXPECT_EQ(decoder.replayed_blocks(), 0u) << kVariants[v];
+    const MinSumDecoder golden(chip.code, cfg.ldpc_params.iterations);
+    EXPECT_EQ(res.hard_bits, golden.decode(chip.channel_llrs).hard_bits)
+        << kVariants[v];
+  }
+}
+
+// A private cache refuses a decoder whose inputs differ from the ones it
+// was bound to.
+TEST(NocDecoderSharedCacheTest, BoundCacheRefusesOtherInputs) {
+  const ChipConfig cfg = fast_config();
+  const BuiltChip chip = build_chip(cfg);
+  const auto cache = std::make_shared<BlockCache>();
+  Fabric fabric(cfg.noc);
+  NocLdpcDecoder first = chip_decoder(fabric, chip, cfg.ldpc_params, cache);
+  EXPECT_NO_THROW(chip_decoder(fabric, chip, cfg.ldpc_params, cache));
+  LdpcNocParams other = cfg.ldpc_params;
+  other.iterations += 1;
+  EXPECT_THROW(chip_decoder(fabric, chip, other, cache), CheckError);
+}
+
+// Decoders on four threads share the registry's cache concurrently; each
+// ends with the bits and the fabric of a serial private-cache run.
+TEST(NocDecoderSharedCacheTest, ConcurrentDecodersMatchASerialRun) {
+  const ChipConfig cfg = fast_config();
+  const BuiltChip chip = build_chip(cfg);
+  constexpr int kBlocks = 4;
+  constexpr int kThreads = 4;
+
+  Fabric serial_fabric(cfg.noc);
+  NocLdpcDecoder serial = chip_decoder(serial_fabric, chip, cfg.ldpc_params,
+                                       std::make_shared<BlockCache>());
+  std::vector<NocDecodeResult> want;
+  for (int b = 0; b < kBlocks; ++b)
+    want.push_back(serial.decode_block(chip.channel_llrs));
+
+  std::vector<std::optional<Fabric>> fabrics(kThreads);
+  std::vector<std::vector<NocDecodeResult>> got(kThreads);
+  std::vector<std::uint64_t> simulated(kThreads), replayed(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const auto i = static_cast<std::size_t>(t);
+      Fabric& fabric = fabrics[i].emplace(cfg.noc);
+      NocLdpcDecoder decoder = chip_decoder(fabric, chip, cfg.ldpc_params);
+      for (int b = 0; b < kBlocks; ++b)
+        got[i].push_back(decoder.decode_block(chip.channel_llrs));
+      simulated[i] = decoder.simulated_blocks();
+      replayed[i] = decoder.replayed_blocks();
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    for (int b = 0; b < kBlocks; ++b) {
+      const auto bi = static_cast<std::size_t>(b);
+      EXPECT_EQ(got[i][bi].hard_bits, want[bi].hard_bits) << i << ":" << b;
+      EXPECT_EQ(got[i][bi].cycles, want[bi].cycles) << i << ":" << b;
+    }
+    expect_same_fabric(*fabrics[i], serial_fabric);
+    EXPECT_EQ(simulated[i] + replayed[i], static_cast<std::uint64_t>(kBlocks));
+    // Each distinct key is simulated at most once per thread.
+    EXPECT_LE(simulated[i], serial.simulated_blocks()) << i;
+  }
 }
 
 // Every simulated statistic of the full-scale NoC decode, pinned at values
@@ -452,7 +615,7 @@ TEST_P(NocDecodePinned, FullScaleStatisticsAreUnchanged) {
   placement.resize(static_cast<std::size_t>(chip.partition.cluster_count));
   Fabric fabric(cfg.noc);
   NocLdpcDecoder decoder(fabric, chip.code, chip.partition, placement,
-                         cfg.ldpc_params);
+                         cfg.ldpc_params, std::make_shared<BlockCache>());
   const auto expect_stats = [&](const StatsPin& want, int blocks) {
     EXPECT_EQ(fabric.now(), static_cast<Cycle>(blocks) * pin.cycles_per_block);
     const NetworkStats& stats = fabric.stats();

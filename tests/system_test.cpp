@@ -34,7 +34,9 @@ TEST(ReconfigurableSystemTest, MigrationPreservesDecodeFunction) {
 }
 
 // Blocks whose (placement, fabric fingerprint) repeats are replayed from
-// the decoder's block cache; each placement's first blocks are simulated.
+// the block cache; each placement's first blocks are simulated. A second
+// system of the same configuration shares the cache, so its identical
+// stream replays every block.
 TEST(ReconfigurableSystemTest, RepeatedBlocksReplayAndMatchGolden) {
   ReconfigurableLdpcSystem system(fast_config(), MigrationScheme::kRotation);
   const StreamResult res = system.run_stream(16, 8);
@@ -46,6 +48,15 @@ TEST(ReconfigurableSystemTest, RepeatedBlocksReplayAndMatchGolden) {
   const StreamResult again = system.run_stream(8, 0);
   EXPECT_TRUE(again.all_blocks_match_golden);
   EXPECT_EQ(again.replayed_blocks, again.blocks);
+
+  ReconfigurableLdpcSystem twin(fast_config(), MigrationScheme::kRotation);
+  const StreamResult shared = twin.run_stream(16, 8);
+  EXPECT_TRUE(shared.all_blocks_match_golden);
+  EXPECT_EQ(shared.migrations, 1);
+  EXPECT_EQ(shared.replayed_blocks, shared.blocks);
+  EXPECT_EQ(shared.total_cycles, res.total_cycles);
+  EXPECT_EQ(shared.migration_cycles, res.migration_cycles);
+  EXPECT_EQ(shared.final_placement, res.final_placement);
 }
 
 TEST(ReconfigurableSystemTest, FourRotationsReturnHome) {
